@@ -22,7 +22,7 @@ struct CmpConfig {
   unsigned mesh_height = 4;
 
   /// Worker threads for the partitioned driver (docs/partitioning.md).
-  /// 1 = the seed's single-threaded loop, byte-identical output; K > 1
+  /// 1 = one partition on the calling thread, byte-identical output; K > 1
   /// splits the mesh into K row-blocks, each on its own thread.
   unsigned threads = 1;
 

@@ -89,12 +89,10 @@ bool SampledRun::handoff_ready() const {
     const core::Core& core = *sys_.tiles_[c]->core;
     if (!(core.done() || core.drained() || sys_.at_barrier_[c])) return false;
   }
-  for (const auto& t : sys_.tiles_) {
-    if (!t->l1->quiescent() || !t->l1i->quiescent() || !t->dir->quiescent() ||
-        !t->loopback.empty())
-      return false;
+  for (unsigned p = 0; p < sys_.n_parts_; ++p) {
+    if (!sys_.partition_quiescent(p)) return false;
   }
-  return sys_.network_->quiescent() && sys_.network_->boundaries_empty();
+  return sys_.network_->boundaries_empty();
 }
 
 void SampledRun::drain() {
@@ -152,14 +150,7 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
           case core::OpKind::kDone: {
             core.warm_mark_done();
             remaining[c] = 0;
-            // Mirror step_impl: a finishing core can release a barrier
-            // everyone else is already in.
-            if (sys_.waiting_ > 0) {
-              unsigned done = 0;
-              for (const auto& t : sys_.tiles_)
-                if (t->core->done()) ++done;
-              if (sys_.waiting_ + done == n) sys_.release_barrier();
-            }
+            sys_.release_if_complete(sys_.done_cores());
             break;
           }
           case core::OpKind::kBarrier:
@@ -167,7 +158,9 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
             // records the arrival (and releases — including the warmup
             // boundary — when the last stream gets here).
             core.warm_arrive_barrier();
-            sys_.on_barrier(c, op.count);
+            if (sys_.arrive(c, op.count, sys_.done_cores())) {
+              sys_.release_barrier();
+            }
             break;
           case core::OpKind::kCompute: {
             core.warm_advance_istream(op.count);

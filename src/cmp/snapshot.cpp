@@ -98,16 +98,14 @@ void CmpSystem::save_checkpoint(std::ostream& out) {
   TCMP_CHECK_MSG(!aborted_, "cannot checkpoint an aborted run");
   TCMP_CHECK_MSG(workload_->can_snapshot(),
                  "this workload does not support checkpointing");
-  if (n_parts_ > 1) {
-    // A checkpoint lands between cycles, after the serial epilogue published
-    // this cycle's boundary events. Apply them now — the identical write the
-    // next cycle's drain phase would make (deadlines are all in the future),
-    // so the continuing run and the snapshot agree — leaving the boundary
-    // channels provably empty.
-    for (unsigned p = 0; p < n_parts_; ++p) network_->drain_boundary(p);
-    // Barrier-replay scratch lists are consumed within the epilogue.
-    for (const auto& part : parts_) TCMP_CHECK(part->events.empty());
-  }
+  // A checkpoint lands between cycles, after the serial epilogue published
+  // this cycle's boundary events. Apply them now — the identical write the
+  // next cycle's drain phase would make (deadlines are all in the future),
+  // so the continuing run and the snapshot agree — leaving the boundary
+  // channels provably empty.
+  for (unsigned p = 0; p < n_parts_; ++p) network_->drain_boundary(p);
+  // Barrier-replay scratch lists are consumed within the epilogue.
+  for (const auto& part : parts_) TCMP_CHECK(part->events.empty());
   TCMP_CHECK(network_->boundaries_empty());
   SnapshotWriter w(out);
   write_snapshot_header(w, snapshot_fingerprint());

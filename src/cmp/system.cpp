@@ -25,13 +25,12 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
   TCMP_CHECK(cfg_.n_tiles == cfg_.mesh_width * cfg_.mesh_height);
   TCMP_CHECK(cfg_.threads >= 1);
   n_parts_ = plan_.num_partitions();
-  barrier_mode_ = n_parts_ > 1 ? BarrierMode::kRecord : BarrierMode::kSerial;
   part_of_.resize(cfg_.n_tiles);
   for (unsigned t = 0; t < cfg_.n_tiles; ++t) part_of_[t] = plan_.part_of(t);
 
-  // Partition shards. Partition 0 aliases stats_, so the K = 1 machine is
-  // exactly the seed's single-kernel, single-registry driver; every shard
-  // registers the same stat names, and merged_stats() folds them back.
+  // Partition shards. Partition 0 aliases stats_, so the K = 1 machine has
+  // the seed's single registry; every shard registers the same stat names,
+  // and merged_stats() folds them back.
   std::vector<StatRegistry*> shards;
   for (unsigned p = 0; p < n_parts_; ++p) {
     auto part = std::make_unique<Partition>();
@@ -97,8 +96,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     // Fill callbacks wrap the core notification with the slack-telemetry
     // unstall probe: when the core was provably stalled on this line, the
     // fill resolves every delivery parked against the stall (realized slack
-    // = unstall cycle - delivery cycle). slack_ is null unless an observer
-    // with telemetry enabled is attached, so the probe costs one branch.
+    // = unstall cycle - delivery cycle). The partition's slack shard is null
+    // unless telemetry is enabled, so the probe costs one branch.
     tile->l1->set_fill_callback(
         // tcmplint: tile-seam (same-tile fill callback wired at construction; never crosses a partition)
         [this, core = tile->core.get(), id](LineAddr line) {
@@ -126,14 +125,13 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
         msg, now_, [this, node](const CoherenceMsg& m) { deliver_local(node, m); });
   });
 
-  // Register every component with its partition's event kernel (at K = 1
-  // that is the single kernel, in exactly the seed's order). Registration
-  // order is the next_wake() scan order: cores first (any runnable core
-  // makes the next cycle live and early-exits the scan), then the network,
-  // then the directories (pipeline deadlines), then the driver-level
-  // recurring events (telemetry sampling, periodic checks; partition 0),
-  // then the purely message-driven components (never wake sources;
-  // registered for the quiescence contract).
+  // Register every component with its partition's event kernel.
+  // Registration order is the next_wake() scan order: cores first (any
+  // runnable core makes the next cycle live and early-exits the scan), then
+  // the network, then the directories (pipeline deadlines), then the
+  // driver-level recurring events (telemetry sampling, periodic checks;
+  // partition 0), then the purely message-driven components (never wake
+  // sources; registered for the quiescence contract).
   auto obs_next = [this] { return obs_sample_due_; };
   obs_event_ = std::make_unique<sim::ScheduledEvent<decltype(obs_next)>>(obs_next);
   auto check_next = [this] { return check_due_; };
@@ -143,14 +141,10 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     sim::SimKernel& k = parts_[p]->kernel;
     const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
     for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->core.get(), "core");
-    if (n_parts_ == 1) {
-      k.add_component(network_.get(), "network");
-    } else {
-      auto net_next = [this, p] { return network_->next_event_partition(p); };
-      parts_[p]->net_event =
-          std::make_unique<sim::ScheduledEvent<decltype(net_next)>>(net_next);
-      k.add_component(parts_[p]->net_event.get(), "network");
-    }
+    auto net_next = [this, p] { return network_->next_event_partition(p); };
+    parts_[p]->net_event =
+        std::make_unique<sim::ScheduledEvent<decltype(net_next)>>(net_next);
+    k.add_component(parts_[p]->net_event.get(), "network");
     for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->dir.get(), "dir");
     if (p == 0) {
       k.add_component(obs_event_.get(), "obs.sampler");
@@ -194,11 +188,12 @@ bool CmpSystem::dump_postmortem() const {
 
 void CmpSystem::set_profiler(sim::SelfProfiler* prof) {
   TCMP_CHECK_MSG(prof == nullptr || n_parts_ == 1,
-                 "the self-profiler instruments the single-kernel loop "
+                 "the self-profiler times the single partition's phases "
                  "(threads == 1)");
   prof_ = prof;
   if (prof == nullptr) return;
-  // Scope registration order is presentation order is lap order in step_impl.
+  // Scope registration order is presentation order (the laps follow the
+  // cycle's phases, see run_partitioned).
   sc_obs_ = prof->register_scope("obs.sample");
   sc_net_ = prof->register_scope("network");
   sc_loopback_ = prof->register_scope("loopback");
@@ -255,16 +250,10 @@ void CmpSystem::attach_observer(obs::Observer* obs) {
   }
   if (obs == nullptr) {
     obs_sample_due_ = kNeverCycle;
-    slack_ = nullptr;
     return;
   }
-  // Slack telemetry rides every level that samples stats at all. Wire
-  // classes are the network's channel planes plus a "local" pseudo-class for
-  // tile-internal loopback traffic, which never touches a wire.
-  if (!obs->slack().enabled()) {
-    obs->slack().init(&stats_, wire_class_names());
-  }
-  slack_ = &obs->slack();
+  // Slack telemetry rides every level that samples stats at all.
+  enable_slack_telemetry();
   // The observer reads the system clock directly: hooks stay timestamped
   // without a per-cycle tick, and step() only calls into the observer when
   // a time-series sample is actually due.
@@ -372,26 +361,35 @@ void CmpSystem::deliver_local(NodeId tile, const CoherenceMsg& msg) {
 }
 
 void CmpSystem::on_barrier(unsigned core, std::uint32_t id) {
-  if (barrier_mode_ == BarrierMode::kRecord) {
-    // Parallel phase: queue the arrival; the serial epilogue replays the
-    // per-partition lists in global tile order (docs/partitioning.md).
-    parts_[part_of_[core]]->events.push_back(BarrierEvent{core, id, false});
-    return;
-  }
-  if (barrier_mode_ == BarrierMode::kReplay) {
+  if (replaying_) {
     replay_arrival(core, id);
     return;
   }
+  // Parallel phase: queue the arrival; the serial epilogue replays the
+  // per-partition lists in global tile order (docs/partitioning.md).
+  parts_[part_of_[core]]->events.push_back(BarrierEvent{core, id, false});
+}
+
+unsigned CmpSystem::done_cores() const {
+  unsigned done = 0;
+  for (const auto& t : tiles_)
+    if (t->core->done()) ++done;
+  return done;
+}
+
+bool CmpSystem::arrive(unsigned core, std::uint32_t id, unsigned done) {
   TCMP_CHECK(!at_barrier_[core]);
   at_barrier_[core] = true;
   pending_barrier_id_ = id;
   ++waiting_;
   ++barrier_arrivals_;
+  return waiting_ + done == cfg_.n_tiles;
+}
 
-  unsigned done = 0;
-  for (const auto& t : tiles_)
-    if (t->core->done()) ++done;
-  if (waiting_ + done == cfg_.n_tiles) release_barrier();
+bool CmpSystem::release_if_complete(unsigned done) {
+  if (waiting_ == 0 || waiting_ + done != cfg_.n_tiles) return false;
+  release_barrier();
+  return true;
 }
 
 void CmpSystem::release_barrier() {
@@ -439,65 +437,19 @@ void CmpSystem::set_periodic_check(Cycle interval, PeriodicCheck check) {
 }
 
 void CmpSystem::step() {
-  if (n_parts_ > 1) {
-    step_partitioned();
-    return;
-  }
-  step_impl<false>();
-}
-
-template <bool kProfiled>
-void CmpSystem::step_impl() {
-  ++now_;
-  // Hoisted from the seed's per-cycle `obs_ != nullptr` branch: the observer
-  // reads the clock through set_clock, so it only needs a call when a
-  // time-series sample is due (obs_sample_due_ is kNeverCycle when detached).
-  if (now_ >= obs_sample_due_) [[unlikely]] {
-    obs_->sample_tick(now_);
-    obs_sample_due_ = obs_->timeseries().next_boundary();
-  }
-  if constexpr (kProfiled) prof_->lap(sc_obs_);
-  network_->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_net_);
-  for (auto& t : tiles_) {
-    while (auto msg = t->loopback.pop_ready(now_)) {
-      deliver_local(msg->dst, *msg);
-    }
-  }
-  if constexpr (kProfiled) prof_->lap(sc_loopback_);
-  for (auto& t : tiles_) t->dir->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_dirs_);
-  for (auto& t : tiles_) t->core->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_cores_);
-
-  // A core finishing can release a barrier everyone else is already in.
-  if (waiting_ > 0) {
-    unsigned done = 0;
-    for (const auto& t : tiles_)
-      if (t->core->done()) ++done;
-    if (waiting_ + done == cfg_.n_tiles) release_barrier();
-  }
-  if constexpr (kProfiled) prof_->lap(sc_barrier_);
-
-  // Hoisted from the seed's `now_ % check_interval_ == 0` test: check_due_
-  // tracks the next multiple of the interval (kNeverCycle when uninstalled).
-  if (now_ >= check_due_) [[unlikely]] {
-    if (!periodic_check_(now_)) aborted_ = true;
-    check_due_ += check_interval_;
-  }
-  if constexpr (kProfiled) prof_->lap(sc_check_);
+  serial_prologue<false>();
+  // Sequential execution of the parallel phases is equivalent to the
+  // threaded run: the phases only exchange state through the double-buffered
+  // boundary channels and stall snapshots, both swapped by the epilogue.
+  for (unsigned p = 0; p < n_parts_; ++p) parallel_phase<false>(p);
+  serial_epilogue<false>();
 }
 
 bool CmpSystem::finished() const {
-  for (const auto& t : tiles_) {
-    if (!t->core->done()) return false;
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    if (!partition_finished(p)) return false;
   }
-  for (const auto& t : tiles_) {
-    if (!t->l1->quiescent() || !t->l1i->quiescent() || !t->dir->quiescent() ||
-        !t->loopback.empty())
-      return false;
-  }
-  return network_->quiescent() && network_->boundaries_empty();
+  return network_->boundaries_empty();
 }
 
 void CmpSystem::advance_idle(Cycle target) {
@@ -511,131 +463,126 @@ void CmpSystem::advance_idle(Cycle target) {
 }
 
 bool CmpSystem::run(Cycle max_cycles) {
-  if (n_parts_ > 1) return run_partitioned(max_cycles);
-  if (prof_ != nullptr) {
-    // Lap-based attribution: the laps tile the whole loop contiguously, so
-    // the table accounts for (nearly) all of run()'s wall time.
-    prof_->start_run();
-    const bool ok = run_loop<true>(max_cycles);
-    prof_->stop_run();
-    return ok;
-  }
-  return run_loop<false>(max_cycles);
+  if (prof_ == nullptr) return run_partitioned<false>(max_cycles);
+  // Lap-based attribution: the laps tile the whole loop contiguously, so the
+  // table accounts for (nearly) all of run()'s wall time.
+  prof_->start_run();
+  const bool ok = run_partitioned<true>(max_cycles);
+  prof_->stop_run();
+  return ok;
 }
 
-template <bool kProfiled>
-bool CmpSystem::run_loop(Cycle max_cycles) {
-  while (now_ < max_cycles && !aborted_) {
-    step_impl<kProfiled>();
-    const bool done = finished();
-    if constexpr (kProfiled) prof_->lap(sc_drain_);
-    if (done) return !aborted_;
-    if (!dead_cycle_skipping_) continue;
-    Cycle nxt{0};
-    if constexpr (kProfiled) {
-      nxt = parts_[0]->kernel.next_wake_counted(now_);
-      prof_->lap(sc_scan_);
-    } else {
-      nxt = parts_[0]->kernel.next_wake(now_);
-    }
-    if (nxt <= now_ + 1) continue;
-    // Every cycle in (now_, nxt) is globally dead: jump to just before the
-    // next live cycle. kNeverCycle (deadlock: nothing will ever act again)
-    // clamps to the horizon, replicating the seed's spin to max_cycles —
-    // including its blocked-core accounting.
-    advance_idle(std::min(Cycle{nxt.value() - 1}, max_cycles));
-    if constexpr (kProfiled) prof_->lap(sc_idle_);
-  }
-  return finished() && !aborted_;
-}
-
-// --- Partitioned driver (K > 1; docs/partitioning.md) -----------------------
+// --- The cycle lockstep (docs/partitioning.md) ------------------------------
 
 bool CmpSystem::partition_finished(unsigned p) const {
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
-  for (unsigned t = lo; t < hi; ++t) {
-    if (!tiles_[t]->core->done()) return false;
+  for (const auto& tile : tiles_of(p)) {
+    if (!tile->core->done()) return false;
   }
-  for (unsigned t = lo; t < hi; ++t) {
-    if (!tiles_[t]->l1->quiescent() || !tiles_[t]->l1i->quiescent() ||
-        !tiles_[t]->dir->quiescent() || !tiles_[t]->loopback.empty()) {
+  return partition_quiescent(p);
+}
+
+bool CmpSystem::partition_quiescent(unsigned p) const {
+  for (const auto& tile : tiles_of(p)) {
+    if (!tile->l1->quiescent() || !tile->l1i->quiescent() ||
+        !tile->dir->quiescent() || !tile->loopback.empty()) {
       return false;
     }
   }
   return network_->quiescent_partition(p);
 }
 
+template <bool kProfiled>
+void CmpSystem::serial_prologue() {
+  ++now_;
+  network_->begin_cycle(now_);
+  // Hoisted from the seed's per-cycle `obs_ != nullptr` branch: the observer
+  // reads the clock through set_clock, so it only needs a call when a
+  // time-series sample is due (obs_sample_due_ is kNeverCycle when detached).
+  if (now_ >= obs_sample_due_) [[unlikely]] {
+    obs_->sample_tick(now_);
+    obs_sample_due_ = obs_->timeseries().next_boundary();
+  }
+  if constexpr (kProfiled) prof_->lap(sc_obs_);
+}
+
+template <bool kProfiled>
 void CmpSystem::parallel_phase(unsigned p) {
   Partition& P = *parts_[p];
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
+  const auto tiles = tiles_of(p);
+  const unsigned lo = plan_.first(p);
   // Apply the boundary events the last serial epilogue published for this
-  // partition, then run the exact component sequence step_impl runs, cut to
-  // this partition's tiles and routers.
+  // partition, then run the classic component sequence, cut to this
+  // partition's tiles and routers.
   network_->drain_boundary(p);
   network_->tick_partition(p, now_);
-  for (unsigned t = lo; t < hi; ++t) {
-    while (auto msg = tiles_[t]->loopback.pop_ready(now_)) {
+  if constexpr (kProfiled) prof_->lap(sc_net_);
+  for (const auto& tile : tiles) {
+    while (auto msg = tile->loopback.pop_ready(now_)) {
       deliver_local(msg->dst, *msg);
     }
   }
-  for (unsigned t = lo; t < hi; ++t) tiles_[t]->dir->tick(now_);
-  for (unsigned t = lo; t < hi; ++t) {
+  if constexpr (kProfiled) prof_->lap(sc_loopback_);
+  for (const auto& tile : tiles) tile->dir->tick(now_);
+  if constexpr (kProfiled) prof_->lap(sc_dirs_);
+  for (unsigned i = 0; i < tiles.size(); ++i) {
     // Ticking a done core is a no-op, so skipping it is free — and it lets
     // the tick below detect the run->done transition, which the barrier
     // replay needs at this core's position in serial tile order.
-    if (tiles_[t]->core->done()) continue;
-    tiles_[t]->core->tick(now_);
-    if (tiles_[t]->core->done()) {
-      P.events.push_back(BarrierEvent{t, 0, true});
+    // tcmplint: tile-seam (same-tile: the owning partition ticks its own core)
+    core::Core& core = *tiles[i]->core;
+    if (core.done()) continue;
+    core.tick(now_);
+    if (core.done()) P.events.push_back(BarrierEvent{lo + i, 0, true});
+  }
+  if (!stall_next_.empty()) {
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      tiles[i]->core->snapshot_stall(stall_next_[lo + i]);
     }
   }
-  if (P.slack != nullptr) {
-    for (unsigned t = lo; t < hi; ++t) {
-      tiles_[t]->core->snapshot_stall(stall_next_[t]);
-    }
-  }
+  if constexpr (kProfiled) prof_->lap(sc_cores_);
   P.finished = partition_finished(p);
-  P.next_wake = P.kernel.next_wake(now_);
+  if constexpr (kProfiled) prof_->lap(sc_drain_);
+  // The next wake only feeds the dead-cycle skip.
+  if (!dead_cycle_skipping_) return;
+  if constexpr (kProfiled) {
+    P.next_wake = P.kernel.next_wake_counted(now_);
+    prof_->lap(sc_scan_);
+  } else {
+    P.next_wake = P.kernel.next_wake(now_);
+  }
 }
 
 void CmpSystem::replay_arrival(unsigned core, std::uint32_t id) {
-  TCMP_CHECK(!at_barrier_[core]);
-  at_barrier_[core] = true;
-  pending_barrier_id_ = id;
-  ++waiting_;
-  ++barrier_arrivals_;
-  if (waiting_ + replay_done_count_ == cfg_.n_tiles) {
-    // This arrival completes the barrier. Cores after `core` in tile order
-    // that were already waiting ticked blocked in the parallel phase, but
-    // the serial driver would have released them before their tick: undo the
-    // provisional blocked tick and re-tick them at their replay position.
-    for (unsigned w = core + 1; w < cfg_.n_tiles; ++w) {
-      if (at_barrier_[w]) {
-        tiles_[w]->core->undo_blocked_tick();
-        replay_retick_[w] = true;
-      }
+  if (!arrive(core, id, replay_done_count_)) return;
+  // This arrival completes the barrier. Cores after `core` in tile order
+  // that were already waiting ticked blocked in the parallel phase, but in
+  // tile order they are released before their tick: undo the provisional
+  // blocked tick and re-tick them at their replay position.
+  for (unsigned w = core + 1; w < cfg_.n_tiles; ++w) {
+    if (at_barrier_[w]) {
+      tiles_[w]->core->undo_blocked_tick();
+      replay_retick_[w] = true;
     }
-    release_barrier();
-    replay_any_action_ = true;
   }
+  release_barrier();
+  replay_any_action_ = true;
 }
 
 bool CmpSystem::replay_barrier_events() {
-  // Cores done *before this cycle*: total done now minus the run->done
-  // transitions the parallel phases recorded. The serial driver's arrival
-  // check counts a core as done only once serial order has passed its
-  // transition; the cursor walk below adds them back one by one.
-  unsigned done_now = 0;
-  for (const auto& t : tiles_)
-    if (t->core->done()) ++done_now;
-  unsigned done_events = 0;
   bool any_events = false;
+  for (const auto& part : parts_) any_events |= !part->events.empty();
+  // Nothing recorded and nobody waiting: no release is possible.
+  if (!any_events && waiting_ == 0) return false;
+  // Cores done *before this cycle*: total done now minus the run->done
+  // transitions the parallel phases recorded. A tile-order walk counts a
+  // core as done only once it has passed the core's transition; the cursor
+  // walk below adds them back one by one.
+  unsigned done_events = 0;
   for (const auto& part : parts_) {
-    if (!part->events.empty()) any_events = true;
     for (const BarrierEvent& e : part->events)
       if (e.done) ++done_events;
   }
-  replay_done_count_ = done_now - done_events;
+  replay_done_count_ = done_cores() - done_events;
   replay_any_action_ = false;
   if (any_events) {
     // Concatenating the per-partition lists yields global tile order:
@@ -646,7 +593,7 @@ bool CmpSystem::replay_barrier_events() {
       part->events.clear();
     }
     replay_retick_.assign(cfg_.n_tiles, false);
-    barrier_mode_ = BarrierMode::kReplay;
+    replaying_ = true;
     std::size_t cursor = 0;
     for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
       if (replay_retick_[t]) {
@@ -667,25 +614,27 @@ bool CmpSystem::replay_barrier_events() {
         ++cursor;
       }
     }
-    barrier_mode_ = BarrierMode::kRecord;
+    replaying_ = false;
   }
-  // The serial driver's post-tick check: a core finishing can release a
-  // barrier every other core is already in.
-  if (waiting_ > 0 && waiting_ + replay_done_count_ == cfg_.n_tiles) {
-    release_barrier();
-    replay_any_action_ = true;
-  }
+  // The post-tick check: a core finishing can release a barrier every other
+  // core is already in.
+  if (release_if_complete(replay_done_count_)) replay_any_action_ = true;
   return replay_any_action_;
 }
 
+template <bool kProfiled>
 Cycle CmpSystem::serial_epilogue() {
   const bool action = replay_barrier_events();
+  if constexpr (kProfiled) prof_->lap(sc_barrier_);
   // Publish this cycle's stall snapshots for the next cycle's slack probes.
   if (!stall_next_.empty()) stall_published_.swap(stall_next_);
+  // Hoisted from the seed's `now_ % check_interval_ == 0` test: check_due_
+  // tracks the next multiple of the interval (kNeverCycle when uninstalled).
   if (now_ >= check_due_) [[unlikely]] {
     if (!periodic_check_(now_)) aborted_ = true;
     check_due_ += check_interval_;
   }
+  if constexpr (kProfiled) prof_->lap(sc_check_);
   const Cycle boundary_next = network_->exchange_boundaries();
   if (action) {
     // Barrier releases / re-ticks may have produced new work anywhere; the
@@ -701,53 +650,50 @@ Cycle CmpSystem::serial_epilogue() {
   return nxt;
 }
 
-void CmpSystem::step_partitioned() {
-  ++now_;
-  network_->begin_cycle(now_);
-  // Sequential execution of the parallel phases is equivalent to the
-  // threaded run: the phases only exchange state through the double-buffered
-  // boundary channels and stall snapshots, both swapped by the epilogue.
-  for (unsigned p = 0; p < n_parts_; ++p) parallel_phase(p);
-  serial_epilogue();
-}
-
+template <bool kProfiled>
 bool CmpSystem::run_partitioned(Cycle max_cycles) {
-  TCMP_CHECK(n_parts_ > 1);
+  // K = 1 runs its single partition on this thread: no workers, no barrier.
+  const bool threaded = n_parts_ > 1;
   sim::SpinBarrier barrier(n_parts_);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
-  workers.reserve(n_parts_ - 1);
   for (unsigned p = 1; p < n_parts_; ++p) {
     workers.emplace_back([this, p, &barrier, &stop] {
       for (;;) {
         barrier.arrive_and_wait();  // cycle start: prologue published
         if (stop.load(std::memory_order_acquire)) return;
-        parallel_phase(p);
+        parallel_phase<false>(p);
         barrier.arrive_and_wait();  // cycle end: hand over to the epilogue
       }
     });
   }
   bool completed = false;
   while (now_ < max_cycles && !aborted_) {
-    ++now_;
-    network_->begin_cycle(now_);
-    barrier.arrive_and_wait();
-    parallel_phase(0);
-    barrier.arrive_and_wait();
-    const Cycle nxt = serial_epilogue();
+    serial_prologue<kProfiled>();
+    if (threaded) barrier.arrive_and_wait();
+    parallel_phase<kProfiled>(0);
+    if (threaded) barrier.arrive_and_wait();
+    const Cycle nxt = serial_epilogue<kProfiled>();
+    if constexpr (kProfiled) prof_->lap(sc_drain_);
     if (epilogue_finished_) {
       completed = true;
       break;
     }
-    if (!dead_cycle_skipping_) continue;
-    if (nxt <= now_ + 1) continue;
-    // Same dead-cycle rule as run_loop, with the boundary-channel deadlines
-    // folded in (exchange_boundaries returned them in nxt).
+    if (!dead_cycle_skipping_ || nxt <= now_ + 1) continue;
+    // Every cycle in (now_, nxt) is globally dead — every partition's next
+    // wake and the boundary-channel deadlines (exchange_boundaries folded
+    // them into nxt) agree: jump to just before the next live cycle.
+    // kNeverCycle (deadlock: nothing will ever act again) clamps to the
+    // horizon, replicating the seed's spin to max_cycles — including its
+    // blocked-core accounting.
     advance_idle(std::min(Cycle{nxt.value() - 1}, max_cycles));
+    if constexpr (kProfiled) prof_->lap(sc_idle_);
   }
-  stop.store(true, std::memory_order_release);
-  barrier.arrive_and_wait();
-  for (auto& w : workers) w.join();
+  if (threaded) {
+    stop.store(true, std::memory_order_release);
+    barrier.arrive_and_wait();
+    for (auto& w : workers) w.join();
+  }
   return (completed || finished()) && !aborted_;
 }
 
@@ -770,28 +716,28 @@ std::vector<std::string> CmpSystem::wire_class_names() const {
 }
 
 void CmpSystem::enable_slack_telemetry() {
-  TCMP_CHECK_MSG(n_parts_ > 1,
-                 "at threads == 1 slack telemetry rides the observer "
-                 "(attach_observer)");
   if (parts_[0]->slack != nullptr) return;
   const std::vector<std::string> wires = wire_class_names();
   for (auto& part : parts_) {
     part->slack = std::make_unique<obs::SlackTelemetry>();
     part->slack->init(part->shard, wires);
   }
-  stall_published_.assign(cfg_.n_tiles, core::StallSnapshot{});
-  stall_next_.assign(cfg_.n_tiles, core::StallSnapshot{});
+  // At K = 1 the beneficiary probe reads the live core instead.
+  if (n_parts_ > 1) {
+    stall_published_.assign(cfg_.n_tiles, core::StallSnapshot{});
+    stall_next_.assign(cfg_.n_tiles, core::StallSnapshot{});
+  }
+}
+
+void CmpSystem::finalize_slack() {
+  for (auto& part : parts_) {
+    if (part->slack != nullptr) part->slack->finalize();
+  }
 }
 
 void CmpSystem::write_slack_table(std::ostream& out) {
-  if (n_parts_ == 1) {
-    if (slack_ == nullptr) return;
-    slack_->finalize();
-    slack_->write_table(out);
-    return;
-  }
   if (parts_[0]->slack == nullptr) return;
-  for (auto& part : parts_) part->slack->finalize();
+  finalize_slack();
   // Fold the shards and read the table through a throwaway telemetry bound
   // to the merged registry: init() re-interns the same stat names, so the
   // view sees the reassembled distributions.

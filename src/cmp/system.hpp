@@ -7,30 +7,32 @@
 // Timing is event-scheduled (sim/kernel.hpp): every component implements the
 // Scheduled contract, and run() jumps the clock across globally dead cycles
 // instead of ticking an idle machine. Each *live* cycle still executes the
-// full classic step() in the classic order, so results are bit-identical to
+// full classic step in the classic order, so results are bit-identical to
 // the plain per-cycle loop (docs/kernel.md).
 //
-// With CmpConfig::threads = K > 1 the tile array is split into K contiguous
-// row-block partitions (sim/partition.hpp), each with its own SimKernel wake
-// calendar and StatRegistry shard, executed in cycle lockstep on K threads.
-// Cross-partition interaction is message-only: NoC flits/credits ride
-// boundary channels swapped once per cycle under the >= 1-cycle link
-// synchronization horizon, barrier arrivals are recorded as events and
-// replayed serially in tile order, and the slack beneficiary probe reads a
-// double-buffered stall snapshot. Simulation results are deterministic and
-// independent of K — byte-identical to the seed's single-threaded driver at
-// K = 1, equal counter maps at any K (docs/partitioning.md; the one
-// documented exception is slack *classification*, which at K > 1 reads the
-// previous cycle's stall snapshot instead of live core state).
+// There is one driver, the cycle lockstep of docs/partitioning.md. The tile
+// array is split into K = CmpConfig::threads contiguous row-block partitions
+// (sim/partition.hpp), each with its own SimKernel wake calendar and
+// StatRegistry shard; K = 1 is one partition on the calling thread, with no
+// worker threads and no barrier waits. Cross-partition interaction is
+// message-only: NoC flits/credits ride boundary channels swapped once per
+// cycle under the >= 1-cycle link synchronization horizon, barrier arrivals
+// are recorded as events and replayed serially in tile order, and at K > 1
+// the slack beneficiary probe reads a double-buffered stall snapshot.
+// Simulation results are deterministic and independent of K — byte-identical
+// to the seed's reports at K = 1, equal counter maps at any K
+// (docs/partitioning.md; the one documented exception is slack
+// *classification*, which at K > 1 reads the previous cycle's stall snapshot
+// instead of live core state).
 #pragma once
 
 #include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <vector>
-
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cmp/config.hpp"
 #include "common/stats.hpp"
@@ -78,11 +80,11 @@ class CmpSystem {
   void set_dead_cycle_skipping(bool on) { dead_cycle_skipping_ = on; }
   [[nodiscard]] bool dead_cycle_skipping() const { return dead_cycle_skipping_; }
 
-  /// The event kernel (tests: wake-calendar and next-wake behavior). At
-  /// K > 1 this is partition 0's kernel; each partition owns its own.
+  /// The event kernel (tests: wake-calendar and next-wake behavior): partition
+  /// 0's kernel; each partition owns its own.
   [[nodiscard]] sim::SimKernel& kernel() { return parts_[0]->kernel; }
   [[nodiscard]] const sim::SimKernel& kernel() const { return parts_[0]->kernel; }
-  /// Partitions the tile array is split into (1 == the seed's driver).
+  /// Partitions the tile array is split into.
   [[nodiscard]] unsigned num_partitions() const { return n_parts_; }
 
   /// Measured cycles (excludes the functional-warmup phase, if any).
@@ -151,29 +153,31 @@ class CmpSystem {
   /// Wire a message-lifecycle / telemetry observer into every component
   /// (network, routers, NICs, L1s, directories) and register the directory
   /// occupancy gauges. Null detaches. The observer must outlive the system
-  /// (or be detached first). At levels >= kTimeseries this also enables the
-  /// slack/criticality telemetry (obs/slack.hpp): messages are tagged at
-  /// injection and realized slack is measured at core unstall. Observers are
-  /// a single-threaded feature: attaching one requires threads == 1 (their
-  /// trace/window state is shared across tiles). At K > 1 the only supported
-  /// telemetry is the sharded slack path below.
+  /// (or be detached first). Attaching also enables the slack/criticality
+  /// telemetry (enable_slack_telemetry). Observers are a single-threaded
+  /// feature: attaching one requires threads == 1 (their trace/window state
+  /// is shared across tiles). At K > 1 the only supported telemetry is slack.
   void attach_observer(obs::Observer* obs);
 
-  /// K > 1 replacement for observer-carried slack telemetry: one
-  /// SlackTelemetry shard per partition, registered on that partition's
-  /// registry shard under the same stat names, so the report-time merge
-  /// reassembles the single-threaded distributions. Call before run().
+  /// Slack/criticality telemetry (obs/slack.hpp): messages are tagged at
+  /// injection and realized slack is measured at core unstall. One
+  /// SlackTelemetry per partition, registered on that partition's registry
+  /// shard under the same stat names, so the report-time merge reassembles
+  /// the whole-machine distributions. Idempotent; call before run().
   void enable_slack_telemetry();
-  /// Write the slack class x wire table (tcmpsim --slack-report): finalizes
-  /// and reads the attached observer's telemetry at K = 1, the merged
-  /// partition shards at K > 1. No-op when slack telemetry is off.
+  /// Flush deliveries still parked at the end of the run into the
+  /// nonblocking counters. Call once the run is over, before any report or
+  /// export reads the slack stats; idempotent, no-op when slack is off.
+  void finalize_slack();
+  /// Write the slack class x wire table (tcmpsim --slack-report) from the
+  /// merged partition shards, finalizing first. No-op when slack is off.
   void write_slack_table(std::ostream& out);
 
   /// Attach an opt-in host-time self-profiler (sim/profiler.hpp): run()
   /// switches to an instrumented loop that attributes wall time per driver
-  /// section and per kernel phase (pull scan / dead-cycle skip). Null
-  /// detaches (the unprofiled loop carries zero instrumentation). Results
-  /// are bit-identical either way.
+  /// section and per kernel phase (pull scan / dead-cycle skip). Requires
+  /// threads == 1. Null detaches (the unprofiled loop carries zero
+  /// instrumentation). Results are bit-identical either way.
   void set_profiler(sim::SelfProfiler* prof);
   [[nodiscard]] sim::SelfProfiler* profiler() const { return prof_; }
   /// Profiler table plus the kernel's per-component pull-scan attribution.
@@ -238,9 +242,9 @@ class CmpSystem {
     bool done = false;      ///< true: done transition, false: barrier arrival
   };
 
-  /// One partition's private simulation state (docs/partitioning.md). At
-  /// K = 1 there is exactly one, whose shard aliases stats_ — the seed's
-  /// single-kernel, single-registry driver.
+  /// One partition's private simulation state (docs/partitioning.md).
+  /// Partition 0's shard aliases stats_, so at K = 1 the single partition
+  /// owns the single registry.
   struct Partition {
     sim::SimKernel kernel;
     std::unique_ptr<StatRegistry> owned_shard;  ///< null for partition 0
@@ -251,24 +255,18 @@ class CmpSystem {
     CounterRef local_count;
     CounterRef remote_count;
     CounterRef remote_bytes;
-    /// K > 1: adapter exposing Network::next_event_partition to the kernel.
+    /// Adapter exposing Network::next_event_partition to the kernel.
     std::unique_ptr<sim::Scheduled> net_event;
     /// Barrier arrivals / done transitions recorded (tile-ordered) during
     /// the parallel phase, replayed serially (replay_barrier_events).
     std::vector<BarrierEvent> events;
-    /// K > 1 slack shard (enable_slack_telemetry); null when slack is off.
+    /// Slack shard (enable_slack_telemetry); null when slack is off.
     std::unique_ptr<obs::SlackTelemetry> slack;
     // Epilogue inputs, written by the owning thread at the end of its
     // parallel phase and read serially between the barriers.
     bool finished = false;
     Cycle next_wake{0};
   };
-
-  /// How on_barrier reacts: the seed's immediate serial handling (K = 1),
-  /// event recording (K > 1 parallel phase), or direct replay handling
-  /// (re-ticked cores inside replay_barrier_events). Written only between
-  /// the cycle barriers, so parallel-phase reads are race-free.
-  enum class BarrierMode : std::uint8_t { kSerial, kRecord, kReplay };
 
   void route_outgoing(NodeId tile, protocol::CoherenceMsg msg);
   void deliver_local(NodeId tile, const protocol::CoherenceMsg& msg);
@@ -277,47 +275,60 @@ class CmpSystem {
   /// reads the previous cycle's published stall snapshot — the cross-
   /// partition form of the probe (docs/partitioning.md).
   [[nodiscard]] bool beneficiary_stalled(const protocol::CoherenceMsg& msg) const;
-  /// The slack telemetry sink for events on `tile`: the observer's (K = 1)
-  /// or the owning partition's shard (K > 1); null when slack is off.
+  /// The slack telemetry sink for events on `tile`: the owning partition's
+  /// shard; null when slack is off.
   [[nodiscard]] obs::SlackTelemetry* slack_for(unsigned tile) const {
-    return n_parts_ == 1 ? slack_ : parts_[part_of_[tile]]->slack.get();
+    return parts_[part_of_[tile]]->slack.get();
   }
   [[nodiscard]] std::vector<std::string> wire_class_names() const;
-  /// step() body, compiled with or without self-profiler laps.
-  template <bool kProfiled>
-  void step_impl();
-  /// run() body, compiled with or without self-profiler instrumentation
-  /// (the unprofiled variant is instruction-identical to the pre-profiler
-  /// loop; results are bit-identical in both).
-  template <bool kProfiled>
-  bool run_loop(Cycle max_cycles);
-  // --- Partitioned driver (K > 1; see docs/partitioning.md) ---------------
-  /// Cycle-lockstep loop: K - 1 worker threads plus this thread as the
+  // --- The cycle lockstep (docs/partitioning.md) --------------------------
+  /// Partition p's tiles: tile ids plan_.first(p) onwards.
+  [[nodiscard]] std::span<const std::unique_ptr<Tile>> tiles_of(unsigned p) const {
+    return std::span(tiles_).subspan(plan_.first(p), plan_.count(p));
+  }
+  /// run() body, compiled with or without self-profiler laps (results are
+  /// bit-identical in both): K - 1 worker threads plus this thread as the
   /// partition-0 worker and coordinator, two spin-barrier waits per live
-  /// cycle, serial epilogue in between iterations.
+  /// cycle when K > 1, serial epilogue in between iterations.
+  template <bool kProfiled>
   bool run_partitioned(Cycle max_cycles);
-  /// step() at K > 1: the same cycle, with the partition phases executed
-  /// sequentially on the calling thread (boundary double-buffering makes
-  /// sequential and parallel execution identical).
-  void step_partitioned();
+  /// Before the cycle's phases: advance the clock, publish it to the
+  /// network, take a time-series sample when one is due.
+  template <bool kProfiled>
+  void serial_prologue();
   /// Partition p's share of one live cycle: drain boundary events, tick the
   /// partition's routers/lanes, pop loopbacks, tick directories and cores
   /// (recording barrier events), publish the stall snapshot, compute the
   /// partition's finished flag and next wake.
+  template <bool kProfiled>
   void parallel_phase(unsigned p);
   /// Between the cycle's barriers: barrier-event replay, periodic check,
   /// boundary exchange. Returns the earliest next live cycle (kNeverCycle
   /// when nothing is pending) and sets epilogue_finished_.
+  template <bool kProfiled>
   Cycle serial_epilogue();
   /// Replay the parallel phase's barrier arrivals / done transitions in tile
-  /// order, reproducing the serial driver's mid-cycle releases (undo the
-  /// provisionally blocked ticks, release, re-tick). Returns true when any
-  /// release happened.
+  /// order, reproducing mid-cycle releases as a tick-by-tick walk would see
+  /// them (undo the provisionally blocked ticks, release, re-tick). Returns
+  /// true when any release happened.
   bool replay_barrier_events();
   /// Serial-order handling of one barrier arrival during replay.
   void replay_arrival(unsigned core, std::uint32_t id);
+  /// Every core of partition p done and its memory system, loopbacks and
+  /// network share quiescent.
   [[nodiscard]] bool partition_finished(unsigned p) const;
+  /// Partition p's memory system, loopbacks and network share hold no work.
+  [[nodiscard]] bool partition_quiescent(unsigned p) const;
+  /// The cores' barrier handler: records the arrival for replay, or applies
+  /// it directly while replaying.
   void on_barrier(unsigned core, std::uint32_t id);
+  [[nodiscard]] unsigned done_cores() const;
+  /// Barrier-controller bookkeeping of one arrival; true when, with `done`
+  /// finished cores, it completes the barrier (the caller releases).
+  bool arrive(unsigned core, std::uint32_t id, unsigned done);
+  /// Release the pending barrier when every core is waiting or one of the
+  /// `done` finished ones; true when it released.
+  bool release_if_complete(unsigned done);
   void release_barrier();
   void end_warmup();
   /// Jump the clock to `target`, bulk-accounting the blocked-core cycles the
@@ -367,9 +378,6 @@ class CmpSystem {
   // tcmplint: snapshot-exempt (runtime attachment, re-installed after restore)
   MsgHook remote_hook_;
   obs::Observer* obs_ = nullptr;
-  /// Non-null iff the attached observer's slack telemetry is enabled; the
-  /// injection/delivery/unstall hot paths test this single pointer.
-  obs::SlackTelemetry* slack_ = nullptr;
   /// Always-on bounded message-lifecycle history (crash post-mortems).
   // tcmplint: snapshot-exempt (host-side debugging ring, never sim input)
   obs::FlightRecorder flight_;
@@ -387,13 +395,16 @@ class CmpSystem {
   std::vector<std::unique_ptr<Tile>> tiles_;
   Cycle now_{0};
 
-  // Barrier controller. At K > 1 this state is touched only serially (the
-  // parallel phase records events; replay_barrier_events applies them).
+  // Barrier controller, touched only serially (the parallel phase records
+  // events; replay_barrier_events applies them).
   std::vector<bool> at_barrier_;
   unsigned waiting_ = 0;
   std::uint32_t pending_barrier_id_ = 0;
-  // tcmplint: snapshot-exempt (derived from cfg_.threads by the constructor)
-  BarrierMode barrier_mode_ = BarrierMode::kSerial;
+  /// on_barrier applies arrivals directly (inside replay_barrier_events)
+  /// instead of recording them. Written only between the cycle barriers,
+  /// so parallel-phase reads are race-free.
+  // tcmplint: snapshot-exempt (epilogue scratch, false between cycles)
+  bool replaying_ = false;
   // replay_barrier_events working state (serial epilogue only): scratch that
   // is always consumed before the between-cycles checkpoint boundary.
   // tcmplint: snapshot-exempt (epilogue scratch, idle between cycles)

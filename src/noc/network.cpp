@@ -53,6 +53,11 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
     for (auto& a : plane.attach) {
       TCMP_CHECK_MSG(a.router != nullptr, "tile not attached to the plane");
     }
+    // Mesh routers are indexed by node, so partition p owns the routers of
+    // its row block; the tree (never partitioned) gives all of them to p = 0.
+    plane.router_first.resize(k + 1);
+    for (unsigned p = 0; p < k; ++p) plane.router_first[p] = plan_.first(p);
+    plane.router_first[k] = static_cast<unsigned>(plane.routers.size());
     plane.lanes.assign(cfg_.nodes(), std::vector<Lane>(protocol::kNumVnets));
     const std::string prefix = "noc." + cfg_.channels[c].name;
     plane.pstats.resize(k);
@@ -317,47 +322,24 @@ void Network::on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now) {
   deliver_(node, flit.msg);
 }
 
-void Network::tick(Cycle now) {
-  now_ = now;
-  for (auto& plane : planes_) {
-    for (auto& r : plane.routers) r->tick_deliver(now);
-  }
-  for (auto& plane : planes_) {
-    for (auto& r : plane.routers) r->tick_allocate(now);
-  }
-  for (auto& plane : planes_) {
-    for (auto& r : plane.routers) r->tick_switch(now);
-  }
-  for (unsigned c = 0; c < planes_.size(); ++c) {
-    auto& lanes = planes_[c].lanes;
-    for (unsigned n = 0; n < cfg_.nodes(); ++n) {
-      for (unsigned v = 0; v < protocol::kNumVnets; ++v) {
-        // Guard here rather than inside pump_lane: an idle network ticks
-        // every lane every cycle, and this keeps that case a couple of loads
-        // instead of a function call when the compiler declines to inline.
-        Lane& lane = lanes[n][v];
-        if (!lane.active && lane.queue.empty()) continue;
-        pump_lane(c, static_cast<NodeId>(n), v, now);
-      }
-    }
-  }
-}
-
 void Network::tick_partition(unsigned p, Cycle now) {
+  for (auto& plane : planes_) {
+    for (const auto& r : plane.routers_of(p)) r->tick_deliver(now);
+  }
+  for (auto& plane : planes_) {
+    for (const auto& r : plane.routers_of(p)) r->tick_allocate(now);
+  }
+  for (auto& plane : planes_) {
+    for (const auto& r : plane.routers_of(p)) r->tick_switch(now);
+  }
   const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
-  for (auto& plane : planes_) {
-    for (unsigned n = lo; n < hi; ++n) plane.routers[n]->tick_deliver(now);
-  }
-  for (auto& plane : planes_) {
-    for (unsigned n = lo; n < hi; ++n) plane.routers[n]->tick_allocate(now);
-  }
-  for (auto& plane : planes_) {
-    for (unsigned n = lo; n < hi; ++n) plane.routers[n]->tick_switch(now);
-  }
   for (unsigned c = 0; c < planes_.size(); ++c) {
     auto& lanes = planes_[c].lanes;
     for (unsigned n = lo; n < hi; ++n) {
       for (unsigned v = 0; v < protocol::kNumVnets; ++v) {
+        // Guard here rather than inside pump_lane: an idle network ticks
+        // every lane every cycle, and this keeps that case a couple of loads
+        // instead of a function call when the compiler declines to inline.
         Lane& lane = lanes[n][v];
         if (!lane.active && lane.queue.empty()) continue;
         pump_lane(c, static_cast<NodeId>(n), v, now);
@@ -374,7 +356,9 @@ Cycle Network::next_event_partition(unsigned p) const {
       for (const auto& lane : plane.lanes[n]) {
         if (lane.active || !lane.queue.empty()) return now_ + 1;
       }
-      const Cycle e = plane.routers[n]->next_event(now_);
+    }
+    for (const auto& r : plane.routers_of(p)) {
+      const Cycle e = r->next_event(now_);
       if (e <= now_ + 1) return now_ + 1;
       nxt = std::min(nxt, e);
     }
@@ -385,8 +369,10 @@ Cycle Network::next_event_partition(unsigned p) const {
 bool Network::quiescent_partition(unsigned p) const {
   const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
   for (const auto& plane : planes_) {
+    for (const auto& r : plane.routers_of(p)) {
+      if (!r->quiescent()) return false;
+    }
     for (unsigned n = lo; n < hi; ++n) {
-      if (!plane.routers[n]->quiescent()) return false;
       for (const auto& lane : plane.lanes[n]) {
         if (!lane.queue.empty()) return false;
       }
@@ -395,33 +381,9 @@ bool Network::quiescent_partition(unsigned p) const {
   return true;
 }
 
-Cycle Network::next_event() const {
-  Cycle nxt = kNeverCycle;
-  for (const auto& plane : planes_) {
-    for (const auto& node_lanes : plane.lanes) {
-      for (const auto& lane : node_lanes) {
-        if (lane.active || !lane.queue.empty()) return now_ + 1;
-      }
-    }
-    for (const auto& r : plane.routers) {
-      const Cycle e = r->next_event(now_);
-      if (e <= now_ + 1) return now_ + 1;
-      nxt = std::min(nxt, e);
-    }
-  }
-  return nxt;
-}
-
 bool Network::quiescent() const {
-  for (const auto& plane : planes_) {
-    for (const auto& r : plane.routers) {
-      if (!r->quiescent()) return false;
-    }
-    for (const auto& node_lanes : plane.lanes) {
-      for (const auto& lane : node_lanes) {
-        if (!lane.queue.empty()) return false;
-      }
-    }
+  for (unsigned p = 0; p < num_partitions(); ++p) {
+    if (!quiescent_partition(p)) return false;
   }
   return true;
 }

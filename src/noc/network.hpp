@@ -3,22 +3,23 @@
 // reassembly). The caller's mapping policy decides which channel and how many
 // wire bytes each message uses; the network handles everything below that.
 //
-// Thread compatibility: single-owner at K = 1 (the whole network ticks as
-// one Scheduled component, exactly the seed behavior). Under a partition
-// plan (docs/partitioning.md) every router, injection lane and stat handle
-// belongs to the partition of its node; the partition phases (drain_boundary
-// / tick_partition / next_event_partition / quiescent_partition) touch only
-// that partition's state, and the two direct writes a cross-partition link
-// would make are rerouted onto BoundaryChannels, swapped by the serial
-// epilogue (exchange_boundaries). The cut happens at link boundaries inside
-// this layer, below the NIC seam the tile-escape lint polices
-// (docs/static-analysis.md).
+// Thread compatibility: every router, injection lane and stat handle belongs
+// to one partition of the plan (docs/partitioning.md) — a single one unless
+// the mesh is split. The partition phases (drain_boundary / tick_partition /
+// next_event_partition / quiescent_partition) touch only that partition's
+// state, and the two direct writes a cross-partition link would make are
+// rerouted onto BoundaryChannels, swapped by the serial epilogue
+// (exchange_boundaries). The cut happens at link boundaries inside this
+// layer, below the NIC seam the tile-escape lint polices
+// (docs/static-analysis.md). tick / next_event / quiescent are the same
+// phases for drivers of a single-partition network.
 #pragma once
 
 #include <array>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -86,9 +87,14 @@ class Network final : public sim::Scheduled {
   void inject(const protocol::CoherenceMsg& msg, unsigned channel,
               Bytes wire_bytes, Cycle now);
 
-  void tick(Cycle now);
+  /// One cycle of a single-partition network (standalone drivers).
+  void tick(Cycle now) {
+    TCMP_DCHECK(num_partitions() == 1);
+    begin_cycle(now);
+    tick_partition(0, now);
+  }
 
-  // --- Partition phases (K > 1; see docs/partitioning.md) -----------------
+  // --- Partition phases (see docs/partitioning.md) ------------------------
   /// Serial prologue: publish the cycle clock (the eject callbacks read it).
   void begin_cycle(Cycle now) { now_ = now; }
   /// Parallel, start of partition p's phase: apply the boundary events the
@@ -116,11 +122,16 @@ class Network final : public sim::Scheduled {
   [[nodiscard]] bool quiescent_partition(unsigned p) const;
   [[nodiscard]] unsigned num_partitions() const { return plan_.num_partitions(); }
 
+  /// Every partition quiescent (boundary channels aside).
   [[nodiscard]] bool quiescent() const override;
-  /// Scheduled contract: next cycle while any router buffers flits or any
-  /// injection lane has a packet (both may act every cycle), otherwise the
-  /// earliest in-flight link arrival across every plane.
-  [[nodiscard]] Cycle next_event() const override;
+  /// Scheduled contract of a single-partition network: next cycle while any
+  /// router buffers flits or any injection lane has a packet (both may act
+  /// every cycle), otherwise the earliest in-flight link arrival across every
+  /// plane.
+  [[nodiscard]] Cycle next_event() const override {
+    TCMP_DCHECK(num_partitions() == 1);
+    return next_event_partition(0);
+  }
   [[nodiscard]] unsigned num_channels() const {
     return static_cast<unsigned>(cfg_.channels.size());
   }
@@ -218,6 +229,14 @@ class Network final : public sim::Scheduled {
     std::vector<std::vector<Lane>> lanes;  ///< [node][vnet]
     double total_link_mm = 0.0;  // tcmplint: allow-raw-unit (energy accounting, mm)
     std::vector<PlaneStats> pstats;        ///< [partition]
+    /// Partition p owns routers [router_first[p], router_first[p + 1]).
+    std::vector<unsigned> router_first;
+
+    [[nodiscard]] std::span<const std::unique_ptr<Router>> routers_of(
+        unsigned p) const {
+      return std::span(routers).subspan(
+          router_first[p], router_first[p + 1] - router_first[p]);
+    }
   };
 
   void build_mesh(unsigned ch);

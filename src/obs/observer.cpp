@@ -268,7 +268,6 @@ void Observer::dir_msg_processed(NodeId tile, const protocol::CoherenceMsg& msg)
 void Observer::finalize(Cycle now) {
   if (finalized_) return;
   finalized_ = true;
-  slack_.finalize();
   ts_.finalize(now);
   // Close spans still open at end of simulation so every begin has an end.
   auto close_all = [&](std::unordered_map<std::uint64_t, const char*>& open) {

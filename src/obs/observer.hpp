@@ -24,7 +24,6 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/hooks.hpp"
-#include "obs/slack.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduled.hpp"
@@ -113,13 +112,6 @@ class Observer final : public ProtocolHooks, public sim::Scheduled {
   void l1_miss_end(NodeId tile, LineAddr line) override;
   void dir_msg_processed(NodeId tile, const protocol::CoherenceMsg& msg) override;
 
-  // --- slack telemetry ---
-  /// The slack/criticality telemetry plane. CmpSystem::attach_observer
-  /// init()s it (levels >= kTimeseries) with the attached network's wire
-  /// classes and feeds it from the injection/delivery/unstall paths.
-  [[nodiscard]] SlackTelemetry& slack() { return slack_; }
-  [[nodiscard]] const SlackTelemetry& slack() const { return slack_; }
-
   // --- time-series wiring ---
   [[nodiscard]] TimeSeries& timeseries() { return ts_; }
   void add_gauge(std::string column, std::function<double()> fn);
@@ -146,7 +138,6 @@ class Observer final : public ProtocolHooks, public sim::Scheduled {
 
   ObsConfig cfg_;
   const StatRegistry* stats_;
-  SlackTelemetry slack_;
   /// Flush-on-abort registration (0 = none): a TCMP_CHECK abort mid-run
   /// flushes partial trace/time-series output instead of truncating it.
   std::uint64_t abort_token_ = 0;

@@ -1,8 +1,13 @@
-// Tests for the CLI argument parser and the trace-file workload (read and
-// write round-trips).
+// Tests for the CLI argument parser, the trace-file workload (read and
+// write round-trips), and tcmpsim option combinations run end to end.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/args.hpp"
 #include "workloads/synthetic_app.hpp"
@@ -124,6 +129,30 @@ TEST(TraceWorkload, RoundTripsThroughWriter) {
       ASSERT_EQ(a.count, b.count);
     }
   }
+}
+
+/// Run tcmpsim with `args`; its exit status and combined stdout/stderr.
+std::pair<int, std::string> run_tcmpsim(const std::string& args) {
+  const std::string cmd = std::string(TCMPSIM_BIN) + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(TcmpsimCli, SlackReportRunsWithoutObserver) {
+  // Slack telemetry lives in the system, not the observer: at --threads 1
+  // it needs no observer level.
+  const auto [status, out] = run_tcmpsim(
+      "--app MP3D --config het --scale 0.02 --slack-report --obs-level 0");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("slack [cycles]"), std::string::npos) << out;
+  EXPECT_NE(out.find("blocking.VL"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -103,6 +103,10 @@ struct HetCase {
   compression::SchemeConfig scheme;
 };
 
+// Test names embed the printed parameter; print the app and scheme rather
+// than the raw bytes, which would include the address of `app`.
+void PrintTo(const HetCase& c, std::ostream* os) { *os << c.app << ' ' << c.scheme.name(); }
+
 class HetEndToEnd : public ::testing::TestWithParam<HetCase> {};
 
 TEST_P(HetEndToEnd, HetImprovesExecutionAndLinkEd2p) {

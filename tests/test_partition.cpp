@@ -1,13 +1,17 @@
 // Partitioned simulation core (docs/partitioning.md): the row-block plan,
 // the 1-cycle synchronization-horizon floor on boundary channels, and the
 // end-to-end determinism contract — equal counter maps whatever the thread
-// count. Golden byte-identity at --threads 1 is covered by the
-// tcmpsim_golden_identity ctest (tools/golden_test.sh passes --threads 1
-// explicitly); these tests pin the K > 1 side.
+// count, and counter digests equal to those the retired single-threaded
+// driver recorded (tests/golden/driver_digests.txt). Golden report
+// byte-identity at --threads 1 is covered by the tcmpsim_golden_identity
+// ctest (tools/golden_test.sh passes --threads 1 explicitly).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -186,6 +190,90 @@ TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCounts) {
     EXPECT_EQ(it->second, value) << "counter diverges at K=4: " << name;
   }
   EXPECT_EQ(one.counters.size(), four.counters.size());
+}
+
+// ---- Frozen reference digests --------------------------------------------
+
+/// One run of tests/golden/driver_digests.txt and its recorded digest.
+struct DigestRun {
+  std::string app;
+  std::string config;
+  unsigned tiles = 16;
+  std::string topology;
+  std::string skip;
+  std::string digest;
+};
+
+std::vector<DigestRun> load_digest_runs() {
+  std::ifstream in(std::string(TCMP_SOURCE_DIR) + "/tests/golden/driver_digests.txt");
+  std::vector<DigestRun> runs;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    DigestRun r;
+    fields >> r.app >> r.config >> r.tiles >> r.topology >> r.skip >> r.digest;
+    EXPECT_FALSE(fields.fail()) << "malformed digest line: " << line;
+    runs.push_back(r);
+  }
+  return runs;
+}
+
+/// FNV-1a over every merged counter's name and decimal value, then the
+/// decimal total cycle count — the per-run digest tcmpbench reports.
+std::string run_digest(const DigestRun& r, unsigned threads) {
+  cmp::CmpConfig cfg =
+      r.config == "baseline" ? cmp::CmpConfig::baseline()
+      : r.config == "het"
+          ? cmp::CmpConfig::heterogeneous(compression::SchemeConfig::dbrc(4, 2))
+          : cmp::CmpConfig::cheng3way();
+  cfg.with_tiles(r.tiles);
+  if (r.topology == "tree") cfg.topology = noc::Topology::kTree2Level;
+  cfg.threads = threads;
+  cmp::CmpSystem system(cfg, std::make_shared<workloads::SyntheticApp>(
+                                 workloads::app(r.app).scaled(0.02), cfg.n_tiles));
+  system.set_dead_cycle_skipping(r.skip == "on");
+  EXPECT_TRUE(system.run(Cycle{50'000'000}));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::string& bytes) {
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [name, value] : system.merged_stats().counters()) {
+    mix(name);
+    mix(std::to_string(value));
+  }
+  mix(std::to_string(system.total_cycles().value()));
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+TEST(PartitionIdentity, FrozenSerialDigests) {
+  const std::vector<DigestRun> runs = load_digest_runs();
+  ASSERT_FALSE(runs.empty());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const DigestRun& r = runs[i];
+    // Every run at K = 1. Meshes are partitioned too (the tree cannot be):
+    // the 64-tile and skip-off runs at K = 2 and 4, every other run of the
+    // 16-tile grid at K = 2 or 4 alternately (both land on every config),
+    // which keeps the test inside its time budget.
+    std::vector<unsigned> ks{1};
+    if (r.topology == "mesh") {
+      if (r.tiles != 16 || r.skip == "off") {
+        ks.insert(ks.end(), {2, 4});
+      } else if (i % 2 == 0) {
+        ks.push_back(i % 4 == 0 ? 2 : 4);
+      }
+    }
+    for (const unsigned k : ks) {
+      EXPECT_EQ(run_digest(r, k), r.digest)
+          << r.app << " " << r.config << " tiles=" << r.tiles << " "
+          << r.topology << " skip=" << r.skip << " K=" << k;
+    }
+  }
 }
 
 }  // namespace

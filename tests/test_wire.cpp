@@ -2,6 +2,8 @@
 // reproduction tolerances, and link partitioning.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "wire/link_design.hpp"
 #include "wire/rc_model.hpp"
 #include "wire/wire_spec.hpp"
@@ -77,13 +79,17 @@ TEST(RcModel, LeakageScalesWithRepeaterSize) {
 
 struct Table2Case {
   WireClass cls;
+  // Test names embed the parameter's raw bytes; an explicit zero field in
+  // place of padding keeps them free of uninitialised memory.
+  std::uint32_t reserved = 0;
   double tolerance;  // relative tolerance on latency
 };
 
 class Table2Repro : public ::testing::TestWithParam<Table2Case> {};
 
 TEST_P(Table2Repro, RelativeLatencyWithinTolerance) {
-  const auto [cls, tol] = GetParam();
+  const WireClass cls = GetParam().cls;
+  const double tol = GetParam().tolerance;
   const WireSpec paper = paper_spec(cls);
   const WireSpec model = model_spec(cls);
   EXPECT_NEAR(model.rel_latency, paper.rel_latency, paper.rel_latency * tol)
@@ -91,10 +97,10 @@ TEST_P(Table2Repro, RelativeLatencyWithinTolerance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WireClasses, Table2Repro,
-                         ::testing::Values(Table2Case{WireClass::kB8X, 0.01},
-                                           Table2Case{WireClass::kB4X, 0.25},
-                                           Table2Case{WireClass::kL8X, 0.25},
-                                           Table2Case{WireClass::kPW4X, 0.25}));
+                         ::testing::Values(Table2Case{.cls = WireClass::kB8X, .tolerance = 0.01},
+                                           Table2Case{.cls = WireClass::kB4X, .tolerance = 0.25},
+                                           Table2Case{.cls = WireClass::kL8X, .tolerance = 0.25},
+                                           Table2Case{.cls = WireClass::kPW4X, .tolerance = 0.25}));
 
 TEST(WireSpec, PaperTable2Values) {
   const WireSpec b8 = paper_spec(WireClass::kB8X);

@@ -367,10 +367,6 @@ int main(int argc, char** argv) {
     apps.push_back(o.app);
   }
 
-  if (o.slack_report && o.obs_level == 0 && o.threads == 1) {
-    std::fprintf(stderr, "--slack-report requires --obs-level >= 1\n");
-    return 2;
-  }
   // Observers (tracing, time series) are a single-threaded feature; the
   // partitioned driver supports only the sharded slack telemetry and the
   // coherence lint (docs/partitioning.md).
@@ -383,7 +379,7 @@ int main(int argc, char** argv) {
   }
   const bool want_obs = o.threads == 1 &&
                         (!o.trace_out.empty() || !o.timeseries_out.empty() ||
-                         o.obs_level > 0 || o.slack_report);
+                         o.obs_level > 0);
   bool first = true;
   for (const auto& name : apps) {
     std::shared_ptr<core::Workload> workload;
@@ -424,7 +420,7 @@ int main(int argc, char** argv) {
           make_obs_config(o, name, apps.size() > 1), &system.stats());
       system.attach_observer(observer.get());
     }
-    if (o.slack_report && o.threads > 1) system.enable_slack_telemetry();
+    if (o.slack_report) system.enable_slack_telemetry();
     if (!o.postmortem_out.empty()) {
       system.set_postmortem_path(
           suffixed(o.postmortem_out, name, apps.size() > 1));
@@ -509,6 +505,7 @@ int main(int argc, char** argv) {
                    name.c_str());
       return 1;
     }
+    system.finalize_slack();
     if (recorder) {
       std::fprintf(stderr, "%s: recorded %llu events to %s\n", name.c_str(),
                    static_cast<unsigned long long>(recorder->events_recorded()),
