@@ -2,17 +2,20 @@
 // sweep, scheme lists, consistent normalized printing, and the deterministic
 // parallel sweep driver (--jobs N). TCMP_SCALE scales every workload's
 // operation count (1.0 = the calibrated default used in EXPERIMENTS.md;
-// smaller values give quick smoke runs).
+// smaller values give quick smoke runs). The perf microbenches share their
+// one option, `--json FILE`, and its metrics-document writer.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cmp/metrics_export.hpp"
 #include "cmp/report.hpp"
 #include "cmp/system.hpp"
 #include "common/env.hpp"
@@ -89,6 +92,33 @@ inline cmp::RunResult run_app(const workloads::AppParams& params,
 [[nodiscard]] inline std::vector<compression::SchemeConfig> potential_schemes() {
   using compression::SchemeConfig;
   return {SchemeConfig::perfect(3), SchemeConfig::perfect(4), SchemeConfig::perfect(5)};
+}
+
+/// A perf microbench's one option, `--json FILE`: returns FILE ("" when
+/// absent). Any other argument prints the usage line and exits 2.
+[[nodiscard]] inline std::string parse_json_out(int argc, char** argv) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json out.json]\n", argv[0]);
+      std::exit(2);
+    }
+  }
+  return path;
+}
+
+/// Write a microbench's results to `path` (nothing when empty) as the
+/// tcmp-metrics bench document that `tcmpstat --compare
+/// bench/BENCH_<group>.json path` gates.
+inline void write_bench_json(const std::string& path, const char* group,
+                             const std::vector<cmp::BenchMetric>& metrics) {
+  if (path.empty()) return;
+  std::ofstream out(path);
+  cmp::write_bench_metrics_json(out, group, metrics);
+  TCMP_CHECK_MSG(out.good(), "could not write --json output");
+  std::printf("wrote %s\n", path.c_str());
 }
 
 inline void print_header(const char* title) {

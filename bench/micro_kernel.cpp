@@ -18,19 +18,17 @@
 // (bench/BENCH_kernel.json) is portable across CI runners.
 //
 // Usage:
-//   micro_kernel [--json out.json] [--baseline BENCH_kernel.json]
-//                [--tolerance 0.2]
-// With --baseline, exits non-zero when any phase's speedup falls more than
-// `tolerance` (relative) below the committed value.
+//   micro_kernel [--json out.json]
+// --json writes a tcmp-metrics bench document (bench.kernel.<phase>.speedup
+// plus informational cycles and cycles/sec); the perf gate is
+//   tcmpstat --compare bench/BENCH_kernel.json out.json --tolerance 0.2
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "cmp/system.hpp"
 #include "common/check.hpp"
 #include "common/table.hpp"
@@ -163,59 +161,10 @@ PhaseResult run_phase(const PhaseSpec& spec) {
   return r;
 }
 
-std::string to_json(const std::vector<PhaseResult>& results) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"micro_kernel\",\n  \"phases\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const PhaseResult& r = results[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"cycles\": %llu, "
-                  "\"event_cps\": %.0f, \"loop_cps\": %.0f, "
-                  "\"speedup\": %.3f}%s\n",
-                  r.name.c_str(), static_cast<unsigned long long>(r.cycles),
-                  r.event_cps, r.loop_cps, r.speedup,
-                  i + 1 < results.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-/// Pull `"speedup": <num>` for phase `name` out of a baseline JSON written
-/// by to_json (flat, known shape — no general JSON parser needed).
-bool baseline_speedup(const std::string& json, const std::string& name,
-                      double* speedup) {
-  const std::string key = "\"name\": \"" + name + "\"";
-  const auto at = json.find(key);
-  if (at == std::string::npos) return false;
-  const std::string field = "\"speedup\": ";
-  const auto sp = json.find(field, at);
-  if (sp == std::string::npos) return false;
-  *speedup = std::strtod(json.c_str() + sp + field.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path, baseline_path;
-  double tolerance = 0.2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json out.json] [--baseline base.json] "
-                   "[--tolerance 0.2]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const std::string json_path = bench::parse_json_out(argc, argv);
 
   std::printf("=== micro_kernel: simulated cycles per wall second ===\n\n");
   std::vector<PhaseResult> results;
@@ -226,42 +175,16 @@ int main(int argc, char** argv) {
 
   TextTable t({"phase", "sim cycles", "event kernel c/s", "per-cycle loop c/s",
                "speedup"});
+  std::vector<cmp::BenchMetric> metrics;
   for (const PhaseResult& r : results) {
     t.add_row({r.name, std::to_string(r.cycles), TextTable::fmt(r.event_cps, 0),
                TextTable::fmt(r.loop_cps, 0), TextTable::fmt(r.speedup, 2)});
+    metrics.push_back({r.name + ".speedup", r.speedup});
+    metrics.push_back({r.name + ".cycles", static_cast<double>(r.cycles)});
+    metrics.push_back({r.name + ".event_cps", r.event_cps});
+    metrics.push_back({r.name + ".loop_cps", r.loop_cps});
   }
   std::printf("%s\n", t.str().c_str());
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << to_json(results);
-    TCMP_CHECK_MSG(out.good(), "could not write --json output");
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (baseline_path.empty()) return 0;
-
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-    return 2;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string base = ss.str();
-  int failures = 0;
-  for (const PhaseResult& r : results) {
-    double want = 0.0;
-    if (!baseline_speedup(base, r.name, &want)) {
-      std::fprintf(stderr, "baseline missing phase %s\n", r.name.c_str());
-      ++failures;
-      continue;
-    }
-    const double floor = want * (1.0 - tolerance);
-    const bool ok = r.speedup >= floor;
-    std::printf("%-14s speedup %.2f vs baseline %.2f (floor %.2f): %s\n",
-                r.name.c_str(), r.speedup, want, floor, ok ? "ok" : "REGRESSED");
-    if (!ok) ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  bench::write_bench_json(json_path, "kernel", metrics);
+  return 0;
 }

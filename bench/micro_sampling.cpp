@@ -3,31 +3,30 @@
 // then SMARTS-sampled (functional fast-forward between short detailed
 // windows) — comparing wall time and the extrapolated cycle estimate.
 //
-// Two gates:
-//   * throughput: the sampled run must be >= 10x faster in wall time
-//     (tolerance-scaled). Both runs execute in the same process on the same
-//     host, so the ratio normalizes out runner speed and the committed
-//     baseline is portable.
-//   * accuracy: the extrapolated cycle estimate's relative error against the
-//     full-detail truth. The simulator is deterministic, so at the default
-//     scale this error is a *fixed property of the tree* — the gate allows
-//     the committed value plus tolerance headroom and a small absolute
-//     cushion, so only a genuine sampling-quality regression trips it.
+// Two gated metrics:
+//   * speedup: the sampled run's wall-clock speedup over full detail. Both
+//     runs execute in the same process on the same host, so the ratio
+//     normalizes out runner speed and the committed baseline (the 10x
+//     target) is portable.
+//   * cycle_error: the extrapolated cycle estimate's relative error against
+//     the full-detail truth. The simulator is deterministic, so at the
+//     default scale this error is a fixed property of the tree, and the
+//     committed value only moves when sampling quality does.
 //
 // The instruction-stream conservation law (sampled total == full measured
 // instructions) is CHECKed on every run — the bench doubles as an end-to-end
 // cross-check of the functional/detailed handoff.
 //
 // Usage:
-//   micro_sampling [--json out.json] [--baseline BENCH_sampling.json]
-//                  [--tolerance 0.2]
+//   micro_sampling [--json out.json]
+// --json writes a tcmp-metrics bench document (bench.sampling.speedup and
+// bench.sampling.cycle_error plus informational times and cycle counts); the
+// perf gate is
+//   tcmpstat --compare bench/BENCH_sampling.json out.json --tolerance 0.2
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -41,8 +40,6 @@
 using namespace tcmp;
 
 namespace {
-
-constexpr double kSpeedupTarget = 10.0;  ///< acceptance bar (ISSUE 10)
 
 /// Long-workload stand-in, CI-sized: a large per-core op budget with mild
 /// sharing, the regime interval sampling exists for. TCMP_SCALE scales it
@@ -130,61 +127,10 @@ Outcome run_pair() {
   return o;
 }
 
-std::string to_json(const Outcome& o, unsigned host_cores) {
-  std::ostringstream out;
-  char buf[640];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"bench\": \"micro_sampling\",\n"
-                "  \"host_cores\": %u,\n"
-                "  \"full_seconds\": %.3f,\n"
-                "  \"sampled_seconds\": %.3f,\n"
-                "  \"speedup\": %.3f,\n"
-                "  \"full_cycles\": %llu,\n"
-                "  \"estimated_cycles\": %llu,\n"
-                "  \"cycle_error\": %.5f,\n"
-                "  \"windows\": %llu,\n"
-                "  \"cpi_ci95\": %.5f\n"
-                "}\n",
-                host_cores, o.full_seconds, o.sampled_seconds, o.speedup,
-                static_cast<unsigned long long>(o.full_cycles),
-                static_cast<unsigned long long>(o.estimated_cycles),
-                o.cycle_error, static_cast<unsigned long long>(o.windows),
-                o.cpi_ci95);
-  out << buf;
-  return out.str();
-}
-
-/// Pull `"key": <num>` out of a baseline JSON written by to_json (flat,
-/// known shape — no general JSON parser needed).
-bool json_number(const std::string& json, const std::string& key, double* out) {
-  const std::string field = "\"" + key + "\": ";
-  const auto at = json.find(field);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + at + field.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path, baseline_path;
-  double tolerance = 0.2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json out.json] [--baseline base.json] "
-                   "[--tolerance 0.2]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const std::string json_path = bench::parse_json_out(argc, argv);
 
   const unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("=== micro_sampling: full detail vs SMARTS interval sampling "
@@ -203,56 +149,15 @@ int main(int argc, char** argv) {
               t.str().c_str(), o.speedup, o.cycle_error * 100.0,
               static_cast<unsigned long long>(o.windows), o.cpi_ci95);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << to_json(o, host_cores);
-    TCMP_CHECK_MSG(out.good(), "could not write --json output");
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (baseline_path.empty()) return 0;
-
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-    return 2;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string base = ss.str();
-
-  double base_error = 0.0;
-  if (!json_number(base, "cycle_error", &base_error)) {
-    std::fprintf(stderr, "baseline missing cycle_error field\n");
-    return 2;
-  }
-
-  int rc = 0;
-  const double speedup_floor = kSpeedupTarget * (1.0 - tolerance);
-  if (o.speedup < speedup_floor) {
-    std::fprintf(stderr,
-                 "FAIL [sampling-speedup]: %.2fx below floor %.2fx "
-                 "(target %.0fx, tolerance %.2f)\n",
-                 o.speedup, speedup_floor, kSpeedupTarget, tolerance);
-    rc = 1;
-  } else {
-    std::printf("ok [sampling-speedup]: %.2fx >= floor %.2fx\n", o.speedup,
-                speedup_floor);
-  }
-
-  // Deterministic at fixed scale, so the committed error reproduces exactly;
-  // the headroom only keeps legitimate timing-model changes from needing a
-  // same-commit baseline refresh.
-  const double error_ceiling = base_error * (1.0 + tolerance) + 0.01;
-  if (o.cycle_error > error_ceiling) {
-    std::fprintf(stderr,
-                 "FAIL [sampling-accuracy]: cycle error %.4f above ceiling "
-                 "%.4f (baseline %.4f, tolerance %.2f)\n",
-                 o.cycle_error, error_ceiling, base_error, tolerance);
-    rc = 1;
-  } else {
-    std::printf("ok [sampling-accuracy]: cycle error %.4f <= ceiling %.4f\n",
-                o.cycle_error, error_ceiling);
-  }
-  return rc;
+  bench::write_bench_json(
+      json_path, "sampling",
+      {{"speedup", o.speedup},
+       {"cycle_error", o.cycle_error},
+       {"full_seconds", o.full_seconds},
+       {"sampled_seconds", o.sampled_seconds},
+       {"full_cycles", static_cast<double>(o.full_cycles)},
+       {"estimated_cycles", static_cast<double>(o.estimated_cycles)},
+       {"windows", static_cast<double>(o.windows)},
+       {"cpi_ci95", o.cpi_ci95}});
+  return 0;
 }

@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
+#include <thread>
 
 #include "cmp/sampling.hpp"
 #include "common/json.hpp"
@@ -66,27 +65,12 @@ void write_self_profile(std::ostream& out, const sim::SelfProfiler& prof,
         << ",\"laps\":" << row.laps << ",\"share\":" << num(row.share) << "}";
   }
   out << "],\"kernel_scan\":[";
-  // Aggregate the kernel's per-registration scan stats by component class.
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
-      agg;
-  for (const auto& s : system.kernel().scan_stats()) {
-    bool merged = false;
-    for (auto& a : agg) {
-      if (a.first == s.name) {
-        a.second.first += s.polls;
-        a.second.second += s.hot_exits;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) agg.emplace_back(s.name, std::make_pair(s.polls, s.hot_exits));
-  }
   first = true;
-  for (const auto& a : agg) {
+  for (const auto& s : system.kernel().scan_stats()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":" << quoted(a.first) << ",\"polls\":" << a.second.first
-        << ",\"hot_exits\":" << a.second.second << "}";
+    out << "{\"name\":" << quoted(s.name) << ",\"polls\":" << s.polls
+        << ",\"hot_exits\":" << s.hot_exits << "}";
   }
   out << "]}";
 }
@@ -165,6 +149,20 @@ void write_metrics_json(std::ostream& out, const RunResult& result,
     write_self_profile(out, *prof, system);
   }
   out << "}\n";
+}
+
+void write_bench_metrics_json(std::ostream& out, const std::string& group,
+                              const std::vector<BenchMetric>& metrics) {
+  out << "{\n  \"schema\": \"tcmp-metrics\",\n  \"version\": "
+      << kMetricsSchemaVersion << ",\n  \"bench\": {\n    \"host_cores\": "
+      << std::thread::hardware_concurrency() << ",\n    " << quoted(group)
+      << ": {";
+  const char* sep = "\n";
+  for (const BenchMetric& m : metrics) {
+    out << sep << "      " << quoted(m.name) << ": " << num(m.value);
+    sep = ",\n";
+  }
+  out << "\n    }\n  }\n}\n";
 }
 
 }  // namespace tcmp::cmp

@@ -9,12 +9,20 @@
 //     "run": {...}, "counters": {...}, "scalars": {...},
 //     "histograms": {...}, "slack": {...}, "sampling": {...}?,
 //     "self_profile": {...}? }
+// A perf microbench writes the same header with one "bench" section instead
+// (write_bench_metrics_json):
+//   { "schema": "tcmp-metrics", "version": kMetricsSchemaVersion,
+//     "bench": { "host_cores": N, "<group>": { "<metric>": value, ... } } }
+// where <group> is kernel, hotpath, partition or sampling; the committed
+// bench/BENCH_<group>.json baselines have this shape.
 // The version bumps on any breaking change (renamed/removed keys or meaning
 // changes); adding keys is non-breaking. Consumers must reject documents
 // whose schema/version they do not understand (tcmpstat does).
 #pragma once
 
 #include <iosfwd>
+#include <string>
+#include <vector>
 
 #include "cmp/report.hpp"
 
@@ -39,5 +47,18 @@ void write_metrics_json(std::ostream& out, const RunResult& result,
                         const sim::SelfProfiler* prof = nullptr,
                         const SamplingResult* sampling = nullptr,
                         const StatRegistry* stats = nullptr);
+
+/// One microbench result: `bench.<group>.<name>` in the document.
+struct BenchMetric {
+  std::string name;
+  double value = 0.0;
+};
+
+/// Write a microbench's results as a metrics document whose one section is
+/// "bench": the host's core count plus `metrics`, in order, under `group`.
+/// `tcmpstat --compare` gates it against a committed baseline of the same
+/// shape.
+void write_bench_metrics_json(std::ostream& out, const std::string& group,
+                              const std::vector<BenchMetric>& metrics);
 
 }  // namespace tcmp::cmp

@@ -214,25 +214,13 @@ void CmpSystem::write_self_profile(std::ostream& out) const {
   prof_->write_table(out);
   // Kernel pull-scan attribution: how often next_wake polled each component
   // class and how often that class terminated the scan early (the hot exit).
-  // Aggregated over registration entries (16 cores -> one "core" row).
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
-      agg;
-  for (const auto& s : parts_[0]->kernel.scan_stats()) {
-    auto it = std::find_if(agg.begin(), agg.end(),
-                           [&](const auto& a) { return a.first == s.name; });
-    if (it == agg.end()) {
-      agg.emplace_back(s.name, std::make_pair(s.polls, s.hot_exits));
-    } else {
-      it->second.first += s.polls;
-      it->second.second += s.hot_exits;
-    }
-  }
+  const auto scan = parts_[0]->kernel.scan_stats();
   std::uint64_t total_polls = 0;
-  for (const auto& a : agg) total_polls += a.second.first;
+  for (const auto& s : scan) total_polls += s.polls;
   out << "kernel pull-scan (" << total_polls << " polls):\n";
-  for (const auto& a : agg) {
-    out << "  " << a.first << ": polls=" << a.second.first
-        << " hot_exits=" << a.second.second << "\n";
+  for (const auto& s : scan) {
+    out << "  " << s.name << ": polls=" << s.polls
+        << " hot_exits=" << s.hot_exits << "\n";
   }
 }
 
@@ -544,12 +532,8 @@ void CmpSystem::parallel_phase(unsigned p) {
   if constexpr (kProfiled) prof_->lap(sc_drain_);
   // The next wake only feeds the dead-cycle skip.
   if (!dead_cycle_skipping_) return;
-  if constexpr (kProfiled) {
-    P.next_wake = P.kernel.next_wake_counted(now_);
-    prof_->lap(sc_scan_);
-  } else {
-    P.next_wake = P.kernel.next_wake(now_);
-  }
+  P.next_wake = P.kernel.next_wake<kProfiled>(now_);
+  if constexpr (kProfiled) prof_->lap(sc_scan_);
 }
 
 void CmpSystem::replay_arrival(unsigned core, std::uint32_t id) {

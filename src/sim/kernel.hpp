@@ -25,8 +25,10 @@
 // components.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <queue>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,54 +55,56 @@ class SimKernel {
     calendar_.push(at);
   }
 
-  /// Earliest live cycle strictly after `now`: the minimum over every
-  /// component's next_event() (values <= now clamp to now + 1) and the wake
-  /// calendar. kNeverCycle means the machine is globally dead — no component
-  /// will ever act again without external input.
-  [[nodiscard]] Cycle next_wake(Cycle now) {
-    while (!calendar_.empty() && calendar_.top() <= now) calendar_.pop();
-    const Cycle next_cycle = now + 1;
-    Cycle nxt = calendar_.empty() ? kNeverCycle : calendar_.top();
-    if (nxt <= next_cycle) return next_cycle;
-    for (const Scheduled* c : components_) {
-      const Cycle e = c->next_event();
-      if (e <= next_cycle) return next_cycle;  // hot: no point scanning on
-      if (e < nxt) nxt = e;
-    }
-    return nxt;
-  }
-
-  /// Per-component pull-scan attribution (filled by next_wake_counted):
-  /// how often each registered component was polled, and how often its
-  /// next_event() ended the scan by demanding the very next cycle.
+  /// Per-component pull-scan attribution (filled by next_wake<true>):
+  /// how often a component was polled, and how often its next_event() ended
+  /// the scan by demanding the very next cycle.
   struct ScanStat {
     const char* name = nullptr;
     std::uint64_t polls = 0;
     std::uint64_t hot_exits = 0;
   };
 
-  /// next_wake() with per-component scan accounting — bit-identical result,
-  /// used by the self-profiled run loop (sim/profiler.hpp) so "who keeps
-  /// cycles live" is attributable per registered Scheduled component.
-  [[nodiscard]] Cycle next_wake_counted(Cycle now) {
+  /// Earliest live cycle strictly after `now`: the minimum over every
+  /// component's next_event() (values <= now clamp to now + 1) and the wake
+  /// calendar. kNeverCycle means the machine is globally dead — no component
+  /// will ever act again without external input. kCounted adds per-component
+  /// scan accounting (bit-identical result), used by the self-profiled run
+  /// loop (sim/profiler.hpp) so "who keeps cycles live" is attributable.
+  template <bool kCounted = false>
+  [[nodiscard]] Cycle next_wake(Cycle now) {
     while (!calendar_.empty() && calendar_.top() <= now) calendar_.pop();
     const Cycle next_cycle = now + 1;
     Cycle nxt = calendar_.empty() ? kNeverCycle : calendar_.top();
     if (nxt <= next_cycle) return next_cycle;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-      const Cycle e = components_[i]->next_event();
-      ++scan_stats_[i].polls;
-      if (e <= next_cycle) {
-        ++scan_stats_[i].hot_exits;
+    for (std::size_t i = 0; const Scheduled* c : components_) {
+      const Cycle e = c->next_event();
+      if constexpr (kCounted) ++scan_stats_[i].polls;
+      if (e <= next_cycle) {  // hot: no point scanning on
+        if constexpr (kCounted) ++scan_stats_[i].hot_exits;
         return next_cycle;
       }
       if (e < nxt) nxt = e;
+      ++i;
     }
     return nxt;
   }
 
-  [[nodiscard]] const std::vector<ScanStat>& scan_stats() const {
-    return scan_stats_;
+  /// The scan stats aggregated by component name (16 cores -> one "core"
+  /// row), in first-registration order.
+  [[nodiscard]] std::vector<ScanStat> scan_stats() const {
+    std::vector<ScanStat> agg;
+    for (const ScanStat& s : scan_stats_) {
+      auto it = std::find_if(agg.begin(), agg.end(), [&](const ScanStat& a) {
+        return std::string_view(a.name) == s.name;
+      });
+      if (it == agg.end()) {
+        agg.push_back(s);
+      } else {
+        it->polls += s.polls;
+        it->hot_exits += s.hot_exits;
+      }
+    }
+    return agg;
   }
 
   /// True when every registered component reports quiescent and no wake

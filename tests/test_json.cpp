@@ -1,11 +1,15 @@
 // Tooling-layer JSON reader (common/json.hpp): grammar coverage for what the
 // canonical metrics writer emits, dotted-path lookup with longest-member
 // matching (counter names contain dots), error reporting, and the shared
-// string-escape helper.
+// string-escape helper; plus the microbench document writer read back.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "cmp/metrics_export.hpp"
 #include "common/json.hpp"
 
 namespace tcmp::json {
@@ -116,6 +120,35 @@ TEST(Json, ParsesMetricsShapedDocument) {
   EXPECT_DOUBLE_EQ(r.value.find_path("run.cycles")->number, 123456.0);
   EXPECT_DOUBLE_EQ(r.value.find_path("counters.msg_local.count")->number, 50.0);
   EXPECT_DOUBLE_EQ(r.value.find_path("histograms.noc.lat.mean")->number, 3.5);
+}
+
+TEST(Json, BenchMetricsDocumentCarriesSchemaHostCoresAndEveryMetric) {
+  // What the perf microbenches write with --json and tcmpstat --compare
+  // gates: dotted metric names must resolve under bench.<group>.
+  const std::vector<cmp::BenchMetric> metrics = {
+      {"idle.speedup", 20.8125},
+      {"memory-bound.speedup", 2.53},
+      {"saturated-traffic.kcps_per_mops", 0.675},
+      {"cycles", 3853455.0}};
+  std::ostringstream out;
+  cmp::write_bench_metrics_json(out, "kernel", metrics);
+
+  const auto r = parse(out.str());
+  ASSERT_TRUE(r.ok) << r.error << "\n" << out.str();
+  EXPECT_EQ(r.value.find("schema")->str, "tcmp-metrics");
+  EXPECT_DOUBLE_EQ(r.value.find("version")->number, cmp::kMetricsSchemaVersion);
+  const Value* cores = r.value.find_path("bench.host_cores");
+  ASSERT_NE(cores, nullptr);
+  EXPECT_DOUBLE_EQ(cores->number, std::thread::hardware_concurrency());
+  const Value* group = r.value.find_path("bench.kernel");
+  ASSERT_NE(group, nullptr);
+  ASSERT_EQ(group->members.size(), metrics.size());
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    EXPECT_EQ(group->members[i].first, metrics[i].name);
+    const Value* v = r.value.find_path("bench.kernel." + metrics[i].name);
+    ASSERT_NE(v, nullptr) << metrics[i].name;
+    EXPECT_DOUBLE_EQ(v->number, metrics[i].value) << metrics[i].name;
+  }
 }
 
 }  // namespace

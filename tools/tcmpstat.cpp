@@ -1,4 +1,4 @@
-// tcmpstat — canonical-metrics inspector and CI trend gate.
+// tcmpstat — canonical-metrics inspector and the one perf/trend gate.
 //
 //   tcmpstat run.json                       summarize one metrics document
 //   tcmpstat --compare base.json new.json   diff the key metrics; exit 1 when
@@ -9,12 +9,12 @@
 //   --all           with --compare, also diff every counter (informational;
 //                   only the key-metric table gates)
 //
-// Reads the versioned JSON that `tcmpsim --metrics-out` writes
-// (cmp/metrics_export.hpp). Documents with an unknown schema name or a newer
-// version are rejected (exit 2): the gate must never silently pass on a
-// format it does not understand.
+// Reads the versioned JSON that `tcmpsim --metrics-out` and the perf
+// microbenches' `--json` write (cmp/metrics_export.hpp). Documents with an
+// unknown schema name or a newer version are rejected (exit 2): the gate
+// must never silently pass on a format it does not understand.
 //
-// Key metrics and their regression direction:
+// Key metrics and their regression direction, by section:
 //   run.cycles                 higher is worse   (performance)
 //   run.critical_latency       higher is worse
 //   run.link_ed2p              higher is worse
@@ -22,11 +22,21 @@
 //   run.total_energy_j         higher is worse
 //   run.coverage               LOWER is worse    (compression coverage)
 //   counters.msg_remote.count  any change is suspect (determinism guard)
+//   bench.kernel.{idle,memory-bound,saturated}.speedup   LOWER is worse
+//   bench.hotpath.stat-bump.speedup                      LOWER is worse
+//   bench.hotpath.saturated-traffic.kcps_per_mops        LOWER is worse
+//   bench.partition.speedup                              LOWER is worse
+//   bench.sampling.speedup                               LOWER is worse
+//   bench.sampling.cycle_error                           higher is worse
+// A row is gated when the BASE document has its section (run, counters,
+// bench.kernel, ...); a gated row missing from either document counts as a
+// regression (MISSING). A compare that gates no row exits 2.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/args.hpp"
@@ -41,18 +51,27 @@ constexpr int kMaxSchemaVersion = 1;
 enum class Direction { kHigherWorse, kLowerWorse, kAnyChange };
 
 struct KeyMetric {
-  const char* path;
+  const char* section;  ///< the row is gated when the base document has it
+  const char* name;
   Direction dir;
 };
 
 constexpr KeyMetric kKeyMetrics[] = {
-    {"run.cycles", Direction::kHigherWorse},
-    {"run.critical_latency", Direction::kHigherWorse},
-    {"run.link_ed2p", Direction::kHigherWorse},
-    {"run.interconnect_energy_j", Direction::kHigherWorse},
-    {"run.total_energy_j", Direction::kHigherWorse},
-    {"run.coverage", Direction::kLowerWorse},
-    {"counters.msg_remote.count", Direction::kAnyChange},
+    {"run", "cycles", Direction::kHigherWorse},
+    {"run", "critical_latency", Direction::kHigherWorse},
+    {"run", "link_ed2p", Direction::kHigherWorse},
+    {"run", "interconnect_energy_j", Direction::kHigherWorse},
+    {"run", "total_energy_j", Direction::kHigherWorse},
+    {"run", "coverage", Direction::kLowerWorse},
+    {"counters", "msg_remote.count", Direction::kAnyChange},
+    {"bench.kernel", "idle.speedup", Direction::kLowerWorse},
+    {"bench.kernel", "memory-bound.speedup", Direction::kLowerWorse},
+    {"bench.kernel", "saturated.speedup", Direction::kLowerWorse},
+    {"bench.hotpath", "stat-bump.speedup", Direction::kLowerWorse},
+    {"bench.hotpath", "saturated-traffic.kcps_per_mops", Direction::kLowerWorse},
+    {"bench.partition", "speedup", Direction::kLowerWorse},
+    {"bench.sampling", "speedup", Direction::kLowerWorse},
+    {"bench.sampling", "cycle_error", Direction::kHigherWorse},
 };
 
 bool load(const std::string& path, json::Value& out) {
@@ -152,24 +171,35 @@ void summarize(const json::Value& doc) {
 
 int compare(const json::Value& base, const json::Value& next, double tolerance,
             bool all_counters) {
-  int regressions = 0;
-  std::printf("%-28s %14s %14s %9s  %s\n", "metric", "base", "new", "delta",
-              "verdict");
+  std::vector<std::pair<std::string, Direction>> rows;
   for (const KeyMetric& m : kKeyMetrics) {
+    const json::Value* section = base.find_path(m.section);
+    if (section == nullptr || !section->is_object()) continue;
+    rows.emplace_back(std::string(m.section) + "." + m.name, m.dir);
+  }
+  if (rows.empty()) {
+    std::fprintf(stderr, "tcmpstat: the base document has no gated section "
+                         "(run, counters or bench.<group>)\n");
+    return 2;
+  }
+  int regressions = 0;
+  std::printf("%-45s %14s %14s %9s  %s\n", "metric", "base", "new", "delta",
+              "verdict");
+  for (const auto& [path, dir] : rows) {
     bool bf = false, nf = false;
-    const double bv = number_at(base, m.path, &bf);
-    const double nv = number_at(next, m.path, &nf);
+    const double bv = number_at(base, path, &bf);
+    const double nv = number_at(next, path, &nf);
     if (!bf || !nf) {
-      std::printf("%-28s %14s %14s %9s  MISSING\n", m.path, bf ? "ok" : "-",
-                  nf ? "ok" : "-", "");
+      std::printf("%-45s %14s %14s %9s  MISSING\n", path.c_str(),
+                  bf ? "ok" : "-", nf ? "ok" : "-", "");
       ++regressions;
       continue;
     }
-    const double bad = badness(bv, nv, m.dir);
+    const double bad = badness(bv, nv, dir);
     const bool regressed = bad > tolerance;
     const double rel = bv == 0.0 ? 0.0 : 100.0 * (nv - bv) / std::fabs(bv);
-    std::printf("%-28s %14.6g %14.6g %+8.2f%%  %s\n", m.path, bv, nv, rel,
-                regressed ? "REGRESSED" : "ok");
+    std::printf("%-45s %14.6g %14.6g %+8.2f%%  %s\n", path.c_str(), bv, nv,
+                rel, regressed ? "REGRESSED" : "ok");
     if (regressed) ++regressions;
   }
   if (all_counters) {
