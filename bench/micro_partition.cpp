@@ -12,9 +12,10 @@
 // The recorded metric is the SPEEDUP (threads-8 cycles/sec divided by
 // threads-1 cycles/sec, same process, same machine) plus the host's core
 // count, because the ratio is only meaningful relative to available
-// parallelism: cycle-lockstep threading cannot speed anything up on a host
-// that runs the 8 partitions on fewer than 8 cores — there it measures
-// barrier/boundary overhead instead. The committed baseline
+// parallelism: the driver runs K partitions on min(K, host cores) threads,
+// so on a host with fewer than 8 cores the 8 partitions share fewer
+// threads and the ratio also carries the partitioning's barrier/boundary
+// overhead. The committed baseline
 // (bench/BENCH_partition.json) is that ratio's observed floor on the host it
 // records; on a host with >= 8 cores the bench itself also enforces the
 // 2x target (tolerance-scaled to 1.6x), which no baseline compare can do

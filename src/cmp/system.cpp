@@ -636,17 +636,23 @@ Cycle CmpSystem::serial_epilogue() {
 
 template <bool kProfiled>
 bool CmpSystem::run_partitioned(Cycle max_cycles) {
-  // K = 1 runs its single partition on this thread: no workers, no barrier.
-  const bool threaded = n_parts_ > 1;
-  sim::SpinBarrier barrier(n_parts_);
+  // K partitions run on T = min(K, host cores) threads: thread j runs the
+  // phases of partitions j, j + T, ... in index order. The phases share
+  // nothing within a cycle (step() runs them all on one thread), and more
+  // spinning participants than cores would pay a scheduler round at every
+  // barrier. K = 1 runs on this thread: no workers, no barrier.
+  const unsigned n_threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, n_parts_);
+  const bool threaded = n_threads > 1;
+  sim::SpinBarrier barrier(n_threads);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
-  for (unsigned p = 1; p < n_parts_; ++p) {
-    workers.emplace_back([this, p, &barrier, &stop] {
+  for (unsigned j = 1; j < n_threads; ++j) {
+    workers.emplace_back([this, j, n_threads, &barrier, &stop] {
       for (;;) {
         barrier.arrive_and_wait();  // cycle start: prologue published
         if (stop.load(std::memory_order_acquire)) return;
-        parallel_phase<false>(p);
+        for (unsigned p = j; p < n_parts_; p += n_threads) parallel_phase<false>(p);
         barrier.arrive_and_wait();  // cycle end: hand over to the epilogue
       }
     });
@@ -655,7 +661,7 @@ bool CmpSystem::run_partitioned(Cycle max_cycles) {
   while (now_ < max_cycles && !aborted_) {
     serial_prologue<kProfiled>();
     if (threaded) barrier.arrive_and_wait();
-    parallel_phase<kProfiled>(0);
+    for (unsigned p = 0; p < n_parts_; p += n_threads) parallel_phase<kProfiled>(p);
     if (threaded) barrier.arrive_and_wait();
     const Cycle nxt = serial_epilogue<kProfiled>();
     if constexpr (kProfiled) prof_->lap(sc_drain_);

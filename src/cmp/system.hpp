@@ -13,12 +13,13 @@
 // There is one driver, the cycle lockstep of docs/partitioning.md. The tile
 // array is split into K = CmpConfig::threads contiguous row-block partitions
 // (sim/partition.hpp), each with its own SimKernel wake calendar and
-// StatRegistry shard; K = 1 is one partition on the calling thread, with no
-// worker threads and no barrier waits. Cross-partition interaction is
-// message-only: NoC flits/credits ride boundary channels swapped once per
-// cycle under the >= 1-cycle link synchronization horizon, barrier arrivals
-// are recorded as events and replayed serially in tile order, and at K > 1
-// the slack beneficiary probe reads a double-buffered stall snapshot.
+// StatRegistry shard, run on min(K, host cores) threads; K = 1 is one
+// partition on the calling thread, with no worker threads and no barrier
+// waits. Cross-partition interaction is message-only: NoC flits/credits
+// ride boundary channels swapped once per cycle under the >= 1-cycle link
+// synchronization horizon, barrier arrivals are recorded as events and
+// replayed serially in tile order, and at K > 1 the slack beneficiary probe
+// reads a double-buffered stall snapshot.
 // Simulation results are deterministic and independent of K — byte-identical
 // to the seed's reports at K = 1, equal counter maps at any K
 // (docs/partitioning.md; the one documented exception is slack
@@ -287,9 +288,10 @@ class CmpSystem {
     return std::span(tiles_).subspan(plan_.first(p), plan_.count(p));
   }
   /// run() body, compiled with or without self-profiler laps (results are
-  /// bit-identical in both): K - 1 worker threads plus this thread as the
-  /// partition-0 worker and coordinator, two spin-barrier waits per live
-  /// cycle when K > 1, serial epilogue in between iterations.
+  /// bit-identical in both): T = min(K, host cores) threads — T - 1 workers
+  /// plus this thread as coordinator — each running every T-th partition's
+  /// phase, two spin-barrier waits per live cycle when T > 1, serial
+  /// epilogue in between iterations.
   template <bool kProfiled>
   bool run_partitioned(Cycle max_cycles);
   /// Before the cycle's phases: advance the clock, publish it to the

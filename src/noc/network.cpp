@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -14,6 +15,23 @@ namespace {
 constexpr std::size_t kLatBins = 128;
 constexpr std::uint64_t kLatBinWidth = 4;
 constexpr const char* kVnetName[protocol::kNumVnets] = {"req", "fwd", "resp"};
+
+// Work-set bitmasks (ChannelPlane::active / busy_lanes).
+constexpr std::uint64_t bit_of(unsigned i) { return std::uint64_t{1} << (i % 64); }
+void set_bit(std::vector<std::uint64_t>& words, unsigned i) { words[i / 64] |= bit_of(i); }
+bool any_bit(const std::vector<std::uint64_t>& words) {
+  return std::ranges::any_of(words, [](std::uint64_t w) { return w != 0; });
+}
+/// f(i) for every set bit i in ascending order. Each word is read once, so a
+/// bit set in the current word during the walk is first seen next walk.
+template <typename F>
+void for_each_bit(const std::vector<std::uint64_t>& words, F&& f) {
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<unsigned>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+}
 }  // namespace
 
 Network::Network(const NocConfig& cfg, StatRegistry* stats)
@@ -27,16 +45,11 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
   for (StatRegistry* s : shards_) TCMP_CHECK(s != nullptr);
   TCMP_CHECK(!cfg_.channels.empty());
   TCMP_CHECK(cfg_.width >= 2 && cfg_.height >= 1);
-  if (k > 1) {
-    TCMP_CHECK_MSG(cfg_.topology == Topology::kMesh2D,
-                   "only the 2D mesh can be partitioned");
-    // The synchronization horizon (docs/partitioning.md): every boundary
-    // event deadline must be at least one cycle out.
-    for (const ChannelSpec& ch : cfg_.channels) {
-      TCMP_CHECK_MSG(ch.link_cycles >= 1,
-                     "partitioning requires >= 1-cycle links");
-    }
-  }
+  // The synchronization horizon (docs/partitioning.md) needs every boundary
+  // event deadline at least one cycle out: Router::connect checks that every
+  // link takes >= 1 cycle.
+  TCMP_CHECK_MSG(k == 1 || cfg_.topology == Topology::kMesh2D,
+                 "only the 2D mesh can be partitioned");
   part_of_.resize(cfg_.nodes());
   for (unsigned n = 0; n < cfg_.nodes(); ++n) part_of_[n] = plan_.part_of(n);
   boundary_index_.assign(static_cast<std::size_t>(k) * k, ~0u);
@@ -59,6 +72,17 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
     for (unsigned p = 0; p < k; ++p) plane.router_first[p] = plan_.first(p);
     plane.router_first[k] = static_cast<unsigned>(plane.routers.size());
     plane.lanes.assign(cfg_.nodes(), std::vector<Lane>(protocol::kNumVnets));
+    plane.active.resize(k);
+    plane.busy_lanes.resize(k);
+    for (unsigned p = 0; p < k; ++p) {
+      const unsigned first = plane.router_first[p];
+      const unsigned routers = plane.router_first[p + 1] - first;
+      plane.active[p].assign((routers + 63) / 64, 0);
+      plane.busy_lanes[p].assign((plan_.count(p) * protocol::kNumVnets + 63) / 64, 0);
+      for (unsigned i = 0; i < routers; ++i) {
+        plane.routers[first + i]->set_work_bit(&plane.active[p][i / 64], bit_of(i));
+      }
+    }
     const std::string prefix = "noc." + cfg_.channels[c].name;
     plane.pstats.resize(k);
     for (unsigned p = 0; p < k; ++p) {
@@ -249,7 +273,9 @@ void Network::inject(const protocol::CoherenceMsg& msg, unsigned channel,
     lane.queue.back().msg.trace_id =
         obs_->msg_injected(msg, cfg_.channels[channel].name, wire_bytes, now);
   }
-  PlaneStats& ps = plane.pstats[part_of_[msg.src]];
+  const unsigned part = part_of_[msg.src];
+  set_bit(plane.busy_lanes[part], lane_index(part, msg.src, vnet));
+  PlaneStats& ps = plane.pstats[part];
   ++ps.packets;
   ps.payload_bytes += wire_bytes;
 }
@@ -323,58 +349,87 @@ void Network::on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now) {
 }
 
 void Network::tick_partition(unsigned p, Cycle now) {
-  for (auto& plane : planes_) {
-    for (const auto& r : plane.routers_of(p)) r->tick_deliver(now);
+  for (ChannelPlane& plane : planes_) {
+    const auto routers = plane.routers_of(p);
+    for_each_bit(plane.active[p], [&](unsigned i) { routers[i]->tick(now); });
   }
-  for (auto& plane : planes_) {
-    for (const auto& r : plane.routers_of(p)) r->tick_allocate(now);
-  }
-  for (auto& plane : planes_) {
-    for (const auto& r : plane.routers_of(p)) r->tick_switch(now);
-  }
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
+  const unsigned lo = plan_.first(p);
   for (unsigned c = 0; c < planes_.size(); ++c) {
-    auto& lanes = planes_[c].lanes;
-    for (unsigned n = lo; n < hi; ++n) {
-      for (unsigned v = 0; v < protocol::kNumVnets; ++v) {
-        // Guard here rather than inside pump_lane: an idle network ticks
-        // every lane every cycle, and this keeps that case a couple of loads
-        // instead of a function call when the compiler declines to inline.
-        Lane& lane = lanes[n][v];
-        if (!lane.active && lane.queue.empty()) continue;
-        pump_lane(c, static_cast<NodeId>(n), v, now);
-      }
-    }
+    std::vector<std::uint64_t>& busy = planes_[c].busy_lanes[p];
+    for_each_bit(busy, [&](unsigned i) {
+      // Inverse of lane_index.
+      const unsigned n = lo + i / protocol::kNumVnets;
+      const unsigned v = i % protocol::kNumVnets;
+      pump_lane(c, static_cast<NodeId>(n), v, now);
+      const Lane& lane = planes_[c].lanes[n][v];
+      if (!lane.active && lane.queue.empty()) busy[i / 64] &= ~bit_of(i);
+    });
   }
 }
 
 Cycle Network::next_event_partition(unsigned p) const {
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
   Cycle nxt = kNeverCycle;
-  for (const auto& plane : planes_) {
-    for (unsigned n = lo; n < hi; ++n) {
-      for (const auto& lane : plane.lanes[n]) {
-        if (lane.active || !lane.queue.empty()) return now_ + 1;
-      }
-    }
-    for (const auto& r : plane.routers_of(p)) {
-      const Cycle e = r->next_event(now_);
-      if (e <= now_ + 1) return now_ + 1;
-      nxt = std::min(nxt, e);
-    }
+  for (const ChannelPlane& plane : planes_) {
+    if (any_bit(plane.busy_lanes[p])) return now_ + 1;
+    const auto routers = plane.routers_of(p);
+    for_each_bit(plane.active[p], [&](unsigned i) {
+      nxt = std::min(nxt, routers[i]->next_event(now_));
+    });
+    if (nxt <= now_ + 1) return now_ + 1;
   }
   return nxt;
 }
 
 bool Network::quiescent_partition(unsigned p) const {
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
-  for (const auto& plane : planes_) {
-    for (const auto& r : plane.routers_of(p)) {
-      if (!r->quiescent()) return false;
+  for (const ChannelPlane& plane : planes_) {
+    if (any_bit(plane.busy_lanes[p])) return false;
+    const auto routers = plane.routers_of(p);
+    bool quiet = true;
+    for_each_bit(plane.active[p], [&](unsigned i) { quiet &= routers[i]->quiescent(); });
+    if (!quiet) return false;
+  }
+  return true;
+}
+
+void Network::collect_work(const ChannelPlane& plane, unsigned p,
+                           std::vector<std::uint64_t>& active,
+                           std::vector<std::uint64_t>& busy_lanes) const {
+  std::ranges::fill(active, 0);
+  std::ranges::fill(busy_lanes, 0);
+  const auto routers = plane.routers_of(p);
+  for (unsigned i = 0; i < routers.size(); ++i) {
+    if (!routers[i]->idle()) set_bit(active, i);
+  }
+  for (unsigned n = plan_.first(p); n < plan_.first(p + 1); ++n) {
+    for (unsigned v = 0; v < protocol::kNumVnets; ++v) {
+      const Lane& lane = plane.lanes[n][v];
+      if (lane.active || !lane.queue.empty()) set_bit(busy_lanes, lane_index(p, n, v));
     }
-    for (unsigned n = lo; n < hi; ++n) {
-      for (const auto& lane : plane.lanes[n]) {
-        if (!lane.queue.empty()) return false;
+  }
+}
+
+void Network::rebuild_work_sets() {
+  for (ChannelPlane& plane : planes_) {
+    for (unsigned p = 0; p < num_partitions(); ++p) {
+      collect_work(plane, p, plane.active[p], plane.busy_lanes[p]);
+    }
+  }
+}
+
+bool Network::work_sets_cover_work() const {
+  const auto covers = [](const std::vector<std::uint64_t>& set,
+                         const std::vector<std::uint64_t>& need) {
+    for (std::size_t w = 0; w < set.size(); ++w) {
+      if ((need[w] & ~set[w]) != 0) return false;
+    }
+    return true;
+  };
+  for (const ChannelPlane& plane : planes_) {
+    for (unsigned p = 0; p < num_partitions(); ++p) {
+      std::vector<std::uint64_t> active = plane.active[p], busy = plane.busy_lanes[p];
+      collect_work(plane, p, active, busy);
+      if (!covers(plane.active[p], active) || !covers(plane.busy_lanes[p], busy)) {
+        return false;
       }
     }
   }

@@ -3,9 +3,9 @@
 // reassembly). The caller's mapping policy decides which channel and how many
 // wire bytes each message uses; the network handles everything below that.
 //
-// Thread compatibility: every router, injection lane and stat handle belongs
-// to one partition of the plan (docs/partitioning.md) — a single one unless
-// the mesh is split. The partition phases (drain_boundary / tick_partition /
+// Thread compatibility: every router, injection lane, work-set mask and
+// stat handle belongs to one partition of the plan (docs/partitioning.md) —
+// a single one unless the mesh is split. The partition phases (drain_boundary / tick_partition /
 // next_event_partition / quiescent_partition) touch only that partition's
 // state, and the two direct writes a cross-partition link would make are
 // rerouted onto BoundaryChannels, swapped by the serial epilogue
@@ -102,8 +102,8 @@ class Network final : public sim::Scheduled {
   void drain_boundary(unsigned p) {
     for (BoundaryChannel* ch : inbound_[p]) ch->drain();
   }
-  /// Parallel: the three router phases plus lane pumping, restricted to
-  /// partition p's routers and nodes.
+  /// Parallel: tick partition p's active routers, then pump its busy
+  /// injection lanes, each in ascending index order per plane.
   void tick_partition(unsigned p, Cycle now);
   /// Serial epilogue (between the cycle's barriers): publish every pending
   /// boundary event; returns the earliest published deadline (kNeverCycle
@@ -124,10 +124,15 @@ class Network final : public sim::Scheduled {
 
   /// Every partition quiescent (boundary channels aside).
   [[nodiscard]] bool quiescent() const override;
+  /// Work-set invariant (tests): every router outside its partition's
+  /// active set is idle and every injection lane outside the busy set is
+  /// empty.
+  [[nodiscard]] bool work_sets_cover_work() const;
   /// Scheduled contract of a single-partition network: next cycle while any
   /// router buffers flits or any injection lane has a packet (both may act
   /// every cycle), otherwise the earliest in-flight link arrival across every
-  /// plane.
+  /// plane. Only the work sets are visited: an idle router or lane has no
+  /// event.
   [[nodiscard]] Cycle next_event() const override {
     TCMP_DCHECK(num_partitions() == 1);
     return next_event_partition(0);
@@ -145,6 +150,9 @@ class Network final : public sim::Scheduled {
   [[nodiscard]] unsigned router_count(unsigned c) const {
     return static_cast<unsigned>(planes_[c].routers.size());
   }
+  [[nodiscard]] const Router& router(unsigned c, unsigned i) const {
+    return *planes_[c].routers[i];
+  }
 
   /// Total flits a packet of `wire_bytes` occupies on channel `c`.
   [[nodiscard]] Flits flits_for(unsigned c, Bytes wire_bytes) const {
@@ -154,7 +162,8 @@ class Network final : public sim::Scheduled {
   /// Checkpoint serialization (common/snapshot.hpp): every router and
   /// injection lane across every plane, plus the cycle clock. Boundary
   /// channels must be empty — a checkpoint happens between cycles, after
-  /// exchange_boundaries() and the following drain have run.
+  /// exchange_boundaries() and the following drain have run. The work sets
+  /// are derived from that state and rebuilt on load.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
     TCMP_CHECK_MSG(boundaries_empty(),
@@ -166,6 +175,7 @@ class Network final : public sim::Scheduled {
         for (Lane& lane : node_lanes) ar.field(lane);
     }
     ar.field(now_);
+    if constexpr (!Ar::kIsWriter) rebuild_work_sets();
   }
 
  private:
@@ -231,6 +241,13 @@ class Network final : public sim::Scheduled {
     std::vector<PlaneStats> pstats;        ///< [partition]
     /// Partition p owns routers [router_first[p], router_first[p + 1]).
     std::vector<unsigned> router_first;
+    /// Work sets, one bitmask per partition (docs/performance.md "Router
+    /// tick"). Bit i of active[p] is set while router router_first[p] + i
+    /// is not idle; bit lane_index(p, n, v) of busy_lanes[p] while lane
+    /// [n][v] holds a packet. Only partition p's thread writes them, except
+    /// the serial epilogue's boundary credits.
+    std::vector<std::vector<std::uint64_t>> active;      ///< [partition][word]
+    std::vector<std::vector<std::uint64_t>> busy_lanes;  ///< [partition][word]
 
     [[nodiscard]] std::span<const std::unique_ptr<Router>> routers_of(
         unsigned p) const {
@@ -243,6 +260,17 @@ class Network final : public sim::Scheduled {
   void build_tree(unsigned ch);
 
   void pump_lane(unsigned ch, NodeId node, unsigned vnet, Cycle now);
+  /// Bit of lane [node][vnet] in its partition p's busy_lanes.
+  [[nodiscard]] unsigned lane_index(unsigned p, unsigned node, unsigned vnet) const {
+    return (node - plan_.first(p)) * protocol::kNumVnets + vnet;
+  }
+  /// The work sets partition p's routers and lanes call for on `plane`:
+  /// exactly the non-idle routers and non-empty lanes.
+  void collect_work(const ChannelPlane& plane, unsigned p,
+                    std::vector<std::uint64_t>& active,
+                    std::vector<std::uint64_t>& busy_lanes) const;
+  /// Reset every work set to collect_work (checkpoint load).
+  void rebuild_work_sets();
   void on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now);
 
   /// The boundary channel carrying events produced by partition `from` for

@@ -3,6 +3,15 @@
 // a flit buffered at cycle t can win VC allocation at t+1, switch allocation
 // at t+2, and is written into the downstream buffer at t+3+link_cycles.
 //
+// One tick() runs the router's whole cycle: deliver the link arrivals and
+// credit returns that are due (deliver_due_ says when), then one pass over
+// the input VCs in (port, vc) order that allocates output VCs and collects
+// each output port's switch requests as a bitmask over the (port, vc)
+// slots, then one round-robin winner per output port, found with
+// std::countr_zero from the port's pointer. The network ticks only the
+// routers in its partition's active set (noc/network.hpp): every write that
+// gives a router work sets its bit, and a tick that leaves it idle clears it.
+//
 // Routing is table-driven: the topology builder (2D mesh with XY routes, or
 // the two-level tree) fills a per-router destination->output-port table, so
 // any deadlock-free single-path topology plugs in without touching the
@@ -65,7 +74,8 @@ class Router {
   Router(NodeId id, const Config& cfg, StatRegistry* stats, std::string stat_prefix);
 
   /// Wire output `out_port` to `downstream`'s input `in_port` over a link of
-  /// `link_cycles` latency and `link_mm` physical length (energy accounting).
+  /// `link_cycles` (>= 1, checked: tick() relies on it) latency and `link_mm`
+  /// physical length (energy accounting).
   void connect(unsigned out_port, Router* downstream, unsigned in_port,
                unsigned link_cycles, double link_mm);  // tcmplint: allow-raw-unit (config boundary, mm)
   /// Deliver packets for destination tiles ejecting at `port` to `fn`.
@@ -90,46 +100,65 @@ class Router {
     upstream_cross_[in_port] = ch;
   }
 
-  /// Boundary-channel drain hooks: exactly the writes the direct-link path
-  /// makes, executed by this router's owning partition. See noc/boundary.hpp.
+  /// Bind this router to its bit in the owning partition's active set
+  /// (Network work sets): the wake sites below set the bit, and tick()
+  /// clears it when it leaves the router idle.
+  void set_work_bit(std::uint64_t* word, std::uint64_t bit) {
+    work_word_ = word;
+    work_bit_ = bit;
+  }
+
+  /// The two writes a link makes into this router, both wake sites: a flit
+  /// into input `port`'s arrival pipe and a credit into the return heap.
+  /// A same-partition upstream/downstream router calls them directly; a
+  /// boundary channel (noc/boundary.hpp) calls them on the owning partition.
   void external_arrival(unsigned port, unsigned vc, Cycle deadline, Flit&& flit) {
     arrivals_[port].push(deadline, {vc, std::move(flit)});
     ++arrivals_pending_;
+    deliver_due_ = std::min(deliver_due_, deadline);
+    wake();
   }
   void external_credit(unsigned out_port, unsigned vc, Cycle deadline) {
     credit_returns_.push(deadline, {out_port, vc});
+    deliver_due_ = std::min(deliver_due_, deadline);
+    wake();
   }
 
-  /// Network-interface injection into input port `port`. Returns false when
-  /// the chosen VC has no buffer space (retry next cycle).
+  /// Network-interface injection into input port `port` (a wake site).
+  /// Returns false when the chosen VC has no buffer space (retry next cycle).
   [[nodiscard]] bool try_inject(unsigned port, unsigned vc, Flit&& flit, Cycle now);
   /// True if the port's VC can accept a flit this cycle.
   [[nodiscard]] bool can_inject(unsigned port, unsigned vc) const;
 
-  // The network calls the three phases for every router each cycle, in this
-  // order across the whole mesh: deliver, allocate, swtraverse. The idle
-  // early-outs live here in the header so a quiet router costs one or two
-  // flag loads per phase instead of an out-of-line call (an idle mesh ticks
-  // every router every cycle, so this is the simulator's hottest no-op).
-  void tick_deliver(Cycle now) {
-    if (arrivals_pending_ != 0 || !credit_returns_.empty()) deliver_busy(now);
-  }
-  void tick_allocate(Cycle now) {
-    if (buffered_ != 0) allocate_busy(now);
-  }
-  void tick_switch(Cycle now) {
-    if (buffered_ != 0) switch_busy(now);
+  /// One cycle: deliver what is due, then allocate and switch while flits
+  /// are buffered. Every link takes >= 1 cycle, so nothing a router pushes
+  /// during its tick (flit deadline now + 1 + link_cycles, credit deadline
+  /// now + link_cycles) is due before the next cycle: ticking the routers
+  /// one after another is exact against running each phase across all of
+  /// the partition's routers in turn.
+  void tick(Cycle now) {
+    if (now >= deliver_due_) deliver(now);
+    if (buffered_ != 0) allocate_and_switch(now);
+    if (idle()) *work_word_ &= ~work_bit_;
   }
 
-  [[nodiscard]] bool quiescent() const;
+  /// Nothing buffered and nothing in flight towards this router (link
+  /// arrivals or credit returns): ticking it is a no-op.
+  [[nodiscard]] bool idle() const {
+    return buffered_ == 0 && deliver_due_ == kNeverCycle;
+  }
+  /// No flits buffered or on an input link (credit returns do not count).
+  [[nodiscard]] bool quiescent() const {
+    return buffered_ == 0 && arrivals_pending_ == 0;
+  }
 
-  /// Earliest cycle after `now` at which any tick phase has work: next cycle
-  /// while flits are buffered (allocation/switching may act every cycle),
+  /// Earliest cycle after `now` at which tick() has work: next cycle while
+  /// flits are buffered (allocation/switching may act every cycle),
   /// otherwise the earliest link arrival. In-flight credit returns are
   /// deliberately NOT a wake source: credits are only read during switch
   /// allocation, which requires buffered flits — and buffered flits keep
-  /// every cycle live, so a credit due at cycle c is always applied (in the
-  /// deliver phase) no later than the first cycle whose switch could read
+  /// every cycle live, so a credit due at cycle c is always applied (by the
+  /// tick's delivery) no later than the first cycle whose switch could read
   /// it. See docs/kernel.md for the full argument.
   [[nodiscard]] Cycle next_event(Cycle now) const {
     if (buffered_ != 0) return now + 1;
@@ -139,13 +168,18 @@ class Router {
     return nxt;
   }
 
+  /// Flits in the input buffers / in flight on the input links.
+  [[nodiscard]] unsigned buffered_flits() const { return buffered_; }
+  [[nodiscard]] unsigned flits_on_links() const { return arrivals_pending_; }
+
   [[nodiscard]] unsigned num_vcs() const { return cfg_.vcs_per_vnet * cfg_.vnets; }
   [[nodiscard]] NodeId id() const { return id_; }
 
   /// Checkpoint serialization (common/snapshot.hpp): every input VC buffer,
   /// output VC allocation/credit state, in-flight link arrivals and credit
   /// returns. Wiring (downstream pointers, routes, eject fns) is rebuilt by
-  /// construction and not serialized.
+  /// construction and not serialized; deliver_due_ is derived from the
+  /// queues on load, and the network rebuilds its work sets.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
     ar.field(buffered_);
@@ -157,6 +191,7 @@ class Router {
     }
     for (auto& q : arrivals_) ar.field(q);
     ar.field(credit_returns_);
+    if constexpr (!Ar::kIsWriter) deliver_due_ = next_deliver();
   }
 
  private:
@@ -174,7 +209,7 @@ class Router {
   struct InputVc {
     /// Fixed-capacity ring sized by the credit bound (cfg_.buffer_flits):
     /// credits guarantee an upstream never sends into a full buffer, so the
-    /// ring can never overflow (checked in deliver_busy / can_inject).
+    /// ring can never overflow (checked in deliver / can_inject).
     RingBuffer<BufferedFlit> buffer;
     bool routed = false;
     unsigned out_port = 0;
@@ -231,11 +266,18 @@ class Router {
   };
 
   void send_credit(unsigned in_port, unsigned vc, Cycle now);
+  void wake() { *work_word_ |= work_bit_; }
 
-  // Busy-path bodies of the three tick phases (see the inline wrappers).
-  void deliver_busy(Cycle now);
-  void allocate_busy(Cycle now);
-  void switch_busy(Cycle now);
+  // The busy-path bodies of tick().
+  void deliver(Cycle now);
+  void allocate_and_switch(Cycle now);
+  /// Earliest pending link-arrival or credit-return deadline (kNeverCycle
+  /// when nothing is in flight towards this router).
+  [[nodiscard]] Cycle next_deliver() const {
+    Cycle due = credit_returns_.next_ready();
+    for (const auto& q : arrivals_) due = std::min(due, q.next_ready());
+    return due;
+  }
 
   // tcmplint: snapshot-exempt (construction parameter, never mutates)
   NodeId id_;
@@ -252,6 +294,13 @@ class Router {
   CounterRef bit_dmm_hops_;  ///< bits x link length (0.1 mm units)
   unsigned buffered_ = 0;  ///< flits currently buffered (idle fast-path)
   unsigned arrivals_pending_ = 0;  ///< flits in flight on any input link
+  /// next_deliver(), kept current: lowered by every push, recomputed after
+  /// each delivery, so tick() delivers only in cycles where something is due.
+  Cycle deliver_due_ = kNeverCycle;
+  /// This router's bit in its partition's active set (set_work_bit).
+  std::uint64_t* work_word_ = nullptr;
+  // tcmplint: snapshot-exempt (wiring: bound by the network at construction)
+  std::uint64_t work_bit_ = 0;
 
   std::vector<std::vector<InputVc>> input_;  ///< [port][vc]
   std::vector<OutputPort> output_;           ///< [port]

@@ -64,8 +64,9 @@ class PartitionPlan {
   std::vector<unsigned> first_row_;  ///< K+1 row boundaries, last == H
 };
 
-/// Sense-reversing spin barrier for the cycle-lockstep driver: K participants
-/// (K - 1 workers plus the coordinator), two waits per live simulated cycle.
+/// Sense-reversing spin barrier for the cycle-lockstep driver: one
+/// participant per driver thread (min(K, host cores): the workers plus the
+/// coordinator), two waits per live simulated cycle.
 /// Spinning (not std::condition_variable) is deliberate — partitions leave
 /// the barrier within tens of nanoseconds of each other on a saturated mesh,
 /// and a futex round trip per cycle would dominate the cycle itself. After a

@@ -12,6 +12,7 @@
 #include "common/stats.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
+#include "sim/partition.hpp"
 #include "wire/link_design.hpp"
 
 namespace tcmp::noc {
@@ -404,6 +405,85 @@ TEST(Network, LatencyGrowsWithLoad) {
   const double low = mean_latency(0.01);
   const double high = mean_latency(0.4);
   EXPECT_GT(high, low * 1.3);
+}
+
+// --- work sets (docs/performance.md "Router tick") ---
+
+struct WorkSetCase {
+  const char* name;
+  wire::LinkPartition link;
+  Topology topology;
+  bool single_cycle;
+  unsigned partitions;
+};
+
+// Random multi-flit traffic on every channel and vnet, driven through the
+// partition lockstep the system driver uses. After every cycle no router
+// outside its partition's active set may hold work and no injection lane
+// outside the busy set may hold a packet: a missed wake site would leave
+// work that is never ticked.
+void check_work_sets(const WorkSetCase& c) {
+  SCOPED_TRACE(c.name);
+  NocConfig cfg;
+  cfg.topology = c.topology;
+  cfg.channels = make_channels(c.link);
+  cfg.single_cycle_router = c.single_cycle;
+  const sim::PartitionPlan plan(cfg.width, cfg.height, c.partitions);
+  std::vector<StatRegistry> shards(c.partitions);
+  std::vector<StatRegistry*> shard_ptrs;
+  for (StatRegistry& s : shards) shard_ptrs.push_back(&s);
+  Network net(cfg, plan, shard_ptrs);
+  unsigned delivered = 0;
+  net.set_deliver([&](NodeId, const CoherenceMsg&) { ++delivered; });
+
+  const MsgType types[] = {MsgType::kGetS, MsgType::kFwdGetS, MsgType::kData};
+  Rng rng(42);
+  unsigned sent = 0;
+  Cycle now{0};
+  for (unsigned t = 0; t < 3000 || !net.quiescent() || !net.boundaries_empty(); ++t) {
+    ASSERT_LT(t, 200000u) << "network did not drain";
+    if (t < 3000) {
+      for (unsigned n = 0; n < cfg.nodes(); ++n) {
+        if (!rng.chance(0.08)) continue;
+        auto d = static_cast<unsigned>(rng.next_below(cfg.nodes()));
+        if (d == n) continue;
+        const auto ch = static_cast<unsigned>(rng.next_below(net.num_channels()));
+        const Bytes bytes{1 + static_cast<unsigned>(rng.next_below(80))};
+        net.inject(make_msg(n, d, types[rng.next_below(3)], sent), ch, bytes, now);
+        ++sent;
+      }
+    }
+    ++now;
+    net.begin_cycle(now);
+    for (unsigned p = 0; p < net.num_partitions(); ++p) {
+      net.drain_boundary(p);
+      net.tick_partition(p, now);
+    }
+    net.exchange_boundaries();
+    ASSERT_TRUE(net.work_sets_cover_work()) << "cycle " << now.value();
+  }
+  EXPECT_EQ(delivered, sent);
+  EXPECT_GT(sent, 1000u);
+}
+
+TEST(WorkSets, EveryWakeSiteIsCovered) {
+  const WorkSetCase cases[] = {
+      {"het mesh, single-cycle", wire::paper_het_link(4), Topology::kMesh2D, true, 1},
+      {"het mesh, 3-stage", wire::paper_het_link(4), Topology::kMesh2D, false, 1},
+      {"cheng3way mesh, single-cycle", wire::cheng3way_link(), Topology::kMesh2D, true, 1},
+      {"cheng3way mesh, 3-stage", wire::cheng3way_link(), Topology::kMesh2D, false, 1},
+      {"tree", wire::paper_het_link(4), Topology::kTree2Level, true, 1},
+      {"het mesh, 2 partitions", wire::paper_het_link(4), Topology::kMesh2D, true, 2},
+  };
+  for (const WorkSetCase& c : cases) check_work_sets(c);
+}
+
+TEST(RouterDeathTest, ZeroCycleLinkIsRejected) {
+  // The fused tick relies on every link taking at least one cycle.
+  StatRegistry stats;
+  Router a(NodeId{0}, Router::Config{}, &stats, "a");
+  Router b(NodeId{1}, Router::Config{}, &stats, "b");
+  EXPECT_DEATH(a.connect(kPortE, &b, kPortW, 0, 1.0), "at least one cycle");
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(SnapshotArchiveDeathTest, GuardsCatchDriftAndMismatch) {
   {
     std::stringstream truncated("short");
     SnapshotReader r(truncated);
-    EXPECT_DEATH(r.raw_u64(), "truncated");
+    EXPECT_DEATH(static_cast<void>(r.raw_u64()), "truncated");
   }
   {
     std::stringstream bogus("XXXXXXXXXXXXXXXXXXXXXXXX");
@@ -168,9 +168,23 @@ void expect_identical(const FinalReport& a, const FinalReport& b) {
   EXPECT_EQ(a.counters.size(), b.counters.size());
 }
 
+/// Flits buffered in routers and flits in flight on links, over every plane.
+std::pair<unsigned, unsigned> flits_in_network(const noc::Network& net) {
+  unsigned buffered = 0, on_links = 0;
+  for (unsigned c = 0; c < net.num_channels(); ++c) {
+    for (unsigned i = 0; i < net.router_count(c); ++i) {
+      buffered += net.router(c, i).buffered_flits();
+      on_links += net.router(c, i).flits_on_links();
+    }
+  }
+  return {buffered, on_links};
+}
+
 // Interrupted-vs-uninterrupted identity at thread count K: run A end to end;
-// run B to a mid-run cycle, checkpoint, restore into a freshly constructed
-// system C and finish there. A and C must agree on every reported number.
+// run B past a mid-run cycle to the first cycle with flits both buffered in
+// routers and in flight on links, checkpoint, restore into a freshly
+// constructed system C and finish there. A and C must agree on every
+// reported number.
 void check_restore_identity(unsigned threads) {
   auto cfg = cmp::CmpConfig::cheng3way();
   cfg.threads = threads;
@@ -181,12 +195,20 @@ void check_restore_identity(unsigned threads) {
 
   cmp::CmpSystem saver(cfg, fft_small(cfg.n_tiles));
   ASSERT_FALSE(saver.run(Cycle{30'000}));  // mid-run: must not have finished
+  for (;;) {
+    const auto [buffered, on_links] = flits_in_network(saver.network());
+    if (buffered > 0 && on_links > 0) break;
+    ASSERT_LT(saver.total_cycles(), Cycle{40'000}) << "network never mid-flight";
+    saver.step();
+  }
+  const Cycle at = saver.total_cycles();
   std::stringstream checkpoint;
   saver.save_checkpoint(checkpoint);
 
   cmp::CmpSystem restored(cfg, fft_small(cfg.n_tiles));
   restored.load_checkpoint(checkpoint);
-  EXPECT_EQ(restored.total_cycles(), Cycle{30'000});
+  EXPECT_EQ(restored.total_cycles(), at);
+  EXPECT_EQ(flits_in_network(restored.network()), flits_in_network(saver.network()));
   ASSERT_TRUE(restored.run(Cycle{50'000'000}));
   expect_identical(full, harvest(restored));
 }

@@ -408,7 +408,7 @@ void check_scheduled_contract(const fs::path& root) {
   // A component with a per-cycle tick(Cycle) that does not expose
   // next_event()/quiescent() is invisible to SimKernel: dead-cycle skipping
   // would jump over cycles where it had work. The word boundary keeps
-  // tick_deliver / sample_tick and friends out of scope — only the bare
+  // sample_tick / undo_blocked_tick and friends out of scope — only the bare
   // `tick(Cycle` entry point implies kernel-driven stepping.
   static const std::regex tick_decl(R"(\btick\s*\(\s*(?:tcmp::)?Cycle\b)");
   for (const auto& h : collect(root / "src", ".hpp")) {
