@@ -2,7 +2,7 @@
 // trivially copyable. The seed capped meshes at 32 tiles because its two
 // full-map bit vectors (directory sharer sets, DBRC per-destination valid
 // bits) were single uint32_t fields; NodeSet widens both to 256 nodes — the
-// ceiling the partitioned driver targets (16x16 mesh, ROADMAP item 1) —
+// ceiling of the partitioned driver (16x16 mesh, docs/partitioning.md) —
 // while staying cheap enough to live inline in cache-array payloads.
 // Constructors that size against a node count CHECK n_nodes <= kMaxNodes so
 // an oversized config fails loudly instead of silently truncating the map.

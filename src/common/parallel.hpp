@@ -1,6 +1,6 @@
 // Deterministic parallel sweep driver (the engine behind the figure benches'
-// `--jobs N` flag, and the thread pool ROADMAP item 1's partitioned kernel
-// will grow from).
+// `--jobs N` flag; the partitioned driver, docs/partitioning.md, runs its
+// own worker threads).
 //
 // Thread-safety contract — this is the pattern the tile-escape lint
 // (docs/static-analysis.md) exists to preserve: each task is self-contained

@@ -1,4 +1,5 @@
-// Versioned binary snapshot archives for checkpoint/restore (ROADMAP item 4).
+// Versioned binary snapshot archives for checkpoint/restore
+// (docs/checkpointing.md).
 //
 // SnapshotWriter and SnapshotReader are symmetric: a class serializes itself
 // with ONE member template,

@@ -3,8 +3,9 @@
 // end-of-run report. No locking: the simulator is single-threaded per system
 // instance (parallel sweeps run one system per thread, each with its own
 // registry — the contract common/parallel.hpp documents and the TSan CI job
-// checks). The partitioned kernel (ROADMAP item 1) will shard this registry
-// per partition and merge at report time, keeping the lock-free hot path.
+// checks). The partitioned driver (docs/partitioning.md) gives each
+// partition its own registry shard and merges the shards at report time,
+// keeping the lock-free hot path.
 #pragma once
 
 #include <algorithm>

@@ -18,9 +18,9 @@
 //
 // Thread compatibility: the NIC is the sanctioned message seam between a
 // tile and the rest of the machine (tile-escape lint,
-// docs/static-analysis.md): under Graphite-style partitioning (ROADMAP
-// item 1) send()/receive() become the cross-partition hand-off points, so
-// everything behind them stays single-owner.
+// docs/static-analysis.md): under the partitioned driver
+// (docs/partitioning.md) send()/receive() are the cross-partition hand-off
+// points, so everything behind them stays single-owner.
 #pragma once
 
 #include <array>

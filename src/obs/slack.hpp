@@ -1,4 +1,4 @@
-// End-to-end slack/criticality telemetry (ROADMAP item 3 groundwork).
+// End-to-end slack/criticality telemetry (docs/observability.md).
 //
 // Every protocol message is tagged at injection with the *requesting core's
 // state* (CritClass): a message serving a core that is blocked at the head of

@@ -21,8 +21,8 @@
 // path that hands component pointers out of their owning tile (the
 // tile-escape lint allowlists it, docs/static-analysis.md); the kernel only
 // ever *reads* next_event()/quiescent() through them. A partitioned mesh
-// (ROADMAP item 1) runs one kernel per partition over that partition's
-// components.
+// (docs/partitioning.md) runs one kernel per partition over that
+// partition's components.
 #pragma once
 
 #include <algorithm>

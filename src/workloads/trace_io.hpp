@@ -1,6 +1,6 @@
 // Binary trace container (.tct): compact per-core event streams for long
-// workloads (ROADMAP item 4 — many long traces instead of a few short
-// synthetic kernels).
+// workloads (docs/checkpointing.md — many long traces instead of a few
+// short synthetic kernels).
 //
 // The encoding eats our own dogfood: line addresses are stored as zigzag
 // deltas against the previous address in the same core's stream — the same

@@ -15,8 +15,17 @@ namespace {
 
 using tcmplint::ClassInfo;
 using tcmplint::Model;
+using tcmplint::Token;
 using tcmplint::build_model;
+using tcmplint::lex;
+using tcmplint::match;
 using tcmplint::strip_code;
+
+std::vector<std::string> texts(const std::vector<Token>& toks) {
+  std::vector<std::string> out;
+  for (const Token& t : toks) out.emplace_back(t.text);
+  return out;
+}
 
 Model model_of(const std::string& text,
                const std::string& name = "src/common/synth.hpp") {
@@ -237,6 +246,54 @@ TEST(Model, MethodsAreNotFields) {
   std::vector<const tcmplint::MethodBody*> bodies = cls->bodies_of("value");
   ASSERT_EQ(bodies.size(), 1u);
   EXPECT_NE(bodies[0]->body.find("v_"), std::string::npos);
+}
+
+// The shared lexer every tcmplint rule matches with: tokens of strip_code's
+// blanked text.
+TEST(Lex, ScopeAndArrowAreOneToken) {
+  const std::string code =
+      strip_code("std::vector<int> v;\nx->y = a ? b : c;\n");
+  EXPECT_EQ(texts(lex(code)),
+            (std::vector<std::string>{"std", "::", "vector", "<", "int", ">",
+                                      "v", ";", "x", "->", "y", "=", "a", "?",
+                                      "b", ":", "c", ";"}));
+}
+
+TEST(Lex, StringLiteralLeavesOneQuoteToken) {
+  const std::string code = strip_code(
+      "f(\"a :: b { } ; \\\" x\", 1);\n"
+      "g(\"wrapped \\\n tail\"); int z;\n");
+  const std::vector<Token> toks = lex(code);
+  EXPECT_EQ(texts(toks),
+            (std::vector<std::string>{"f", "(", "\"", ",", "1", ")", ";", "g",
+                                      "(", "\"", ")", ";", "int", "z", ";"}));
+  // A backslash-newline inside a literal still ends a line.
+  EXPECT_EQ(toks.back().line, 3);
+}
+
+TEST(Lex, RawStringsAndContinuedPreprocessorLinesKeepLineNumbers) {
+  const std::string code = strip_code(
+      "auto s = R\"x(line one\n"
+      "still raw \" ) { ;\n"
+      ")x\";\n"
+      "#define M(a) \\\n"
+      "    { a; }\n"
+      "int after;\n");
+  const std::vector<Token> toks = lex(code);
+  ASSERT_EQ(texts(toks), (std::vector<std::string>{"auto", "s", "=", ";",
+                                                   "int", "after", ";"}));
+  EXPECT_EQ(toks[3].line, 3);
+  EXPECT_EQ(toks[4].line, 6);
+}
+
+TEST(Lex, MatchTakesOptionalsAndAlternatives) {
+  const std::string code =
+      strip_code("tcmp::Histogram h{8, 4};\nScalarStat s;\n");
+  const std::vector<Token> toks = lex(code);
+  const char* pattern = "tcmp? ::? ScalarStat|Histogram $ {|;";
+  EXPECT_EQ(match(toks, 0, pattern), 5u);
+  EXPECT_EQ(match(toks, 10, pattern), 13u);
+  EXPECT_EQ(match(toks, 1, "ScalarStat"), 0u);
 }
 
 }  // namespace

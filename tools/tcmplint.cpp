@@ -59,10 +59,10 @@
 //                     translation unit, the same-tile collaborator edges
 //                     (core/ -> L1Cache/ICache), SimKernel registration
 //                     (`add_component(`), and constructor wiring. This is
-//                     the invariant Graphite-style mesh partitioning
-//                     (ROADMAP item 1) depends on: cross-tile interaction
-//                     flows through the NIC/message seam, never through a
-//                     cached raw pointer. Escape hatch:
+//                     the invariant the partitioned driver
+//                     (docs/partitioning.md) depends on: cross-tile
+//                     interaction flows through the NIC/message seam, never
+//                     through a cached raw pointer. Escape hatch:
 //                     `tcmplint: tile-seam` (each use documents a partition
 //                     boundary the multi-threaded kernel must cut). In
 //                     src/cmp/system.* the partitioned driver
@@ -87,8 +87,9 @@
 //                     clear_stats() lifecycle method must mention every
 //                     data member in that method's body (wherever the body
 //                     is defined), reassign `*this`, or annotate the member
-//                     `tcmplint: reset-exempt` — the audited inventory a
-//                     future snapshot/restore serializer will walk.
+//                     `tcmplint: reset-exempt` — the same member inventory
+//                     snapshot-coverage holds the checkpoint serializer to
+//                     (docs/checkpointing.md).
 //   snapshot-coverage a class participating in checkpoint/restore — one that
 //                     defines snapshot_io() or a save()/load() pair — must
 //                     mention every data member in those bodies or annotate
@@ -103,33 +104,42 @@
 //                     flows through the seeded Rng, all environment reads
 //                     through env.hpp. Escape hatch:
 //                     `tcmplint: allow-ambient`.
-//   self-contained    every header under src/ must compile standalone
-//                     ($CXX -std=c++20 -fsyntax-only -I src).
 //   pragma-once       every header under src/ must contain #pragma once.
 //
-// The four determinism/state-integrity rules share a cross-TU class/field
-// model (tools/tcmplint_model.hpp): one pass over src/ extracting every
-// class/struct with its members (type + initializer), constructor mem-init
-// lists and method bodies — including definitions that live in a different
-// translation unit than the declaration.
+// The four determinism/state-integrity rules and guarded-field share a
+// cross-TU class/field model (tools/tcmplint_model.hpp): one pass over src/
+// extracting every class/struct with its members (type + initializer),
+// constructor mem-init lists and method bodies — including definitions that
+// live in a different translation unit than the declaration.
 //
-// Usage: tcmplint --root <repo-root> [--rule <name>] [--cxx <compiler>]
+// Every rule matches tokens of the blanked text (strip_code + lex, same
+// header), so comments, string contents and preprocessor lines never match;
+// annotation comments are looked up on the raw lines. That every header
+// compiles on its own is checked by the build (src/CMakeLists.txt), not here.
+//
+// Usage: tcmplint --root <repo-root> [--rule <name>]
 //        tcmplint --list-rules | tcmplint --dump-model --root <repo-root>
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tcmplint_model.hpp"
 
 namespace fs = std::filesystem;
+using tcmplint::at;
+using tcmplint::match;
+using tcmplint::one_of;
+using tcmplint::Token;
 
 namespace {
 
@@ -162,15 +172,112 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-std::vector<fs::path> collect(const fs::path& dir, const std::string& ext) {
-  std::vector<fs::path> out;
-  if (!fs::exists(dir)) return out;
-  for (const auto& e : fs::recursive_directory_iterator(dir)) {
-    if (e.is_regular_file() && e.path().extension() == ext)
-      out.push_back(e.path());
+// One source file as every rule sees it: the raw lines, for annotation
+// lookups, and the tokens of its blanked text, for matching.
+struct Source {
+  fs::path path;
+  std::string rel;  ///< relative to the root, '/'-separated
+  std::string raw;
+  std::vector<std::string> lines;
+  std::string code;  ///< strip_code(raw); `toks` view into it
+  std::vector<Token> toks;
+  std::vector<std::size_t> first;      ///< first[l]: first token on line >= l
+  std::set<std::string_view> classes;  ///< names after `class` / `struct`
+
+  /// Tokens [line_begin(l), line_begin(l + 1)) sit on 1-based line l.
+  [[nodiscard]] std::size_t line_begin(long l) const {
+    return first[static_cast<std::size_t>(
+        std::clamp<long>(l, 1, static_cast<long>(first.size()) - 1))];
   }
-  std::sort(out.begin(), out.end());
+  [[nodiscard]] bool first_on_line(std::size_t k) const {
+    return k == 0 || toks[k - 1].line != toks[k].line;
+  }
+  /// `tcmplint: <tag>` on the 1-based raw line.
+  [[nodiscard]] bool has(long l, std::string_view tag) const {
+    return l >= 1 && l <= static_cast<long>(lines.size()) &&
+           lines[static_cast<std::size_t>(l - 1)].find(
+               "tcmplint: " + std::string(tag)) != std::string::npos;
+  }
+  /// ... on the line or the line above it.
+  [[nodiscard]] bool annotated(long l, std::string_view tag) const {
+    return has(l, tag) || has(l - 1, tag);
+  }
+};
+
+const Source& load(const fs::path& root, const fs::path& p) {
+  static std::map<fs::path, Source> cache;
+  auto [it, fresh] = cache.try_emplace(p);
+  Source& s = it->second;
+  if (!fresh) return s;
+  s.path = p;
+  s.rel = fs::relative(p, root).generic_string();
+  s.raw = read_file(p);
+  s.lines = split_lines(s.raw);
+  s.code = tcmplint::strip_code(s.raw);
+  s.toks = tcmplint::lex(s.code);
+  for (std::size_t l = 0, k = 0; l <= s.lines.size() + 1; ++l) {
+    while (k < s.toks.size() && s.toks[k].line < static_cast<long>(l)) ++k;
+    s.first.push_back(k);
+  }
+  for (std::size_t k = 0; k < s.toks.size(); ++k)
+    if (match(s.toks, k, "class|struct $") != 0)
+      s.classes.insert(s.toks[k + 1].text);
+  return s;
+}
+
+/// Every file under root/dir with one of `exts`, sorted per extension.
+std::vector<const Source*> sources(const fs::path& root, const fs::path& dir,
+                                   std::initializer_list<const char*> exts) {
+  std::vector<const Source*> out;
+  for (const char* ext : exts) {
+    std::vector<fs::path> files;
+    if (fs::exists(root / dir))
+      for (const auto& e : fs::recursive_directory_iterator(root / dir))
+        if (e.is_regular_file() && e.path().extension() == ext)
+          files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    for (const auto& f : files) out.push_back(&load(root, f));
+  }
   return out;
+}
+
+/// The first index in [b, e) where `pattern` matches within [b, e), else e.
+std::size_t first_match(const std::vector<Token>& t, std::size_t b,
+                        std::size_t e, std::string_view pattern) {
+  for (; b < e; ++b)
+    if (const std::size_t m = match(t, b, pattern); m != 0 && m <= e) break;
+  return b;
+}
+
+/// A function definition head: `cls::fn`.
+struct Def {
+  std::string cls, fn;
+  [[nodiscard]] bool ctor() const { return !cls.empty() && cls == fn; }
+};
+
+/// The definition enclosing `line`, judged by the nearest head at or above
+/// it: a line holding `Cls::fn(` — with `column0`, only lines starting in
+/// column 0 (out-of-line definitions do; qualified calls such as std::move(
+/// sit in indented statements) — or, with `in_class`, a line opening with
+/// `[explicit] Name(` in a file that defines class Name (an in-class
+/// constructor, returned as Name::Name). Empty when no head is found.
+Def enclosing_def(const Source& s, long line, bool column0, bool in_class) {
+  const std::vector<Token>& t = s.toks;
+  for (long l = line; l >= 1; --l) {
+    const std::size_t b = s.line_begin(l), e = s.line_begin(l + 1);
+    if (b == e) continue;
+    const std::size_t k = first_match(t, b, e, "$ :: ~? $ (");
+    const bool col0 = t[b].pos == 0 || s.code[t[b].pos - 1] == '\n';
+    if (k < e && (col0 || !column0)) {
+      Def d{std::string(t[k].text), t[k + 2].is("~") ? "~" : ""};
+      d.fn += t[d.fn.empty() ? k + 2 : k + 3].text;
+      return d;
+    }
+    const std::size_t n = match(t, b, "explicit? $ (");
+    if (in_class && n != 0 && n <= e && s.classes.count(t[n - 2].text) != 0U)
+      return {std::string(t[n - 2].text), std::string(t[n - 2].text)};
+  }
+  return {};
 }
 
 // ---- raw-unit ------------------------------------------------------------
@@ -179,27 +286,38 @@ void check_raw_unit(const fs::path& root) {
   // Unit/identity suffixes for which src/common/{types,units}.hpp provides a
   // strong type. A declaration like `double energy_j` should be
   // `units::Joules energy`, `std::uint64_t start_cycle` should be `Cycle`.
-  static const std::regex decl(
-      R"((?:double|std::uint64_t|uint64_t)\s+)"
-      R"(([a-z][a-z0-9_]*(?:_j|_pj|_nj|_w|_mw|_s|_ps|_ns|_hz|_m|_mm|_um|_mm2|_um2|_per_m|_cycles?|_addr|_line))\s*[;={,)(])");
-  for (const auto& h : collect(root / "src", ".hpp")) {
-    const std::string rel = fs::relative(h, root).generic_string();
+  static constexpr std::string_view kSuffixes[] = {
+      "_j",  "_pj", "_nj",  "_w",    "_mw",     "_s",      "_ps",
+      "_ns", "_hz", "_m",   "_mm",   "_um",     "_mm2",    "_um2",
+      "_per_m", "_cycle", "_cycles", "_addr", "_line"};
+  auto unit_suffixed = [](std::string_view n) {  // [a-z][a-z0-9_]*<suffix>
+    return std::islower(static_cast<unsigned char>(n[0])) != 0 &&
+           n.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_") ==
+               std::string_view::npos &&
+           std::any_of(std::begin(kSuffixes), std::end(kSuffixes),
+                       [&](std::string_view x) {
+                         return n.size() > x.size() && n.ends_with(x);
+                       });
+  };
+  for (const Source* s : sources(root, "src", {".hpp"})) {
     // The strong-type layer itself defines the raw-double boundary
     // (constructors and to_* escape accessors).
-    if (rel == "src/common/units.hpp" || rel == "src/common/types.hpp")
+    if (s->rel == "src/common/units.hpp" || s->rel == "src/common/types.hpp")
       continue;
-    const auto lines = split_lines(read_file(h));
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::string& l = lines[i];
-      if (l.find("tcmplint: allow-raw-unit") != std::string::npos) continue;
-      std::smatch m;
-      if (std::regex_search(l, m, decl)) {
-        report(h, static_cast<long>(i + 1), "raw-unit",
-               "raw numeric declaration '" + m[1].str() +
-                   "' carries a unit/identity suffix; use the strong type "
-                   "from common/types.hpp or common/units.hpp (or annotate "
-                   "'tcmplint: allow-raw-unit' with a reason)");
-      }
+    long last = 0;
+    for (std::size_t k = 0; k < s->toks.size(); ++k) {
+      const Token& t = s->toks[k];
+      if (t.line == last ||
+          match(s->toks, k, "double|uint64_t $ ;|=|{|,|)|(") == 0 ||
+          !unit_suffixed(s->toks[k + 1].text))
+        continue;
+      last = t.line;
+      if (s->has(last, "allow-raw-unit")) continue;
+      report(s->path, last, "raw-unit",
+             "raw numeric declaration '" + std::string(s->toks[k + 1].text) +
+                 "' carries a unit/identity suffix; use the strong type "
+                 "from common/types.hpp or common/units.hpp (or annotate "
+                 "'tcmplint: allow-raw-unit' with a reason)");
     }
   }
 }
@@ -207,48 +325,45 @@ void check_raw_unit(const fs::path& root) {
 // ---- msgtype-tables ------------------------------------------------------
 
 void check_msgtype_tables(const fs::path& root) {
-  const fs::path enum_hpp = root / "src/protocol/coherence_msg.hpp";
-  const std::string text = read_file(enum_hpp);
-  if (text.empty()) {
-    report(enum_hpp, 0, "msgtype-tables", "cannot read MsgType header");
+  const Source& hdr = load(root, root / "src/protocol/coherence_msg.hpp");
+  if (hdr.raw.empty()) {
+    report(hdr.path, 0, "msgtype-tables", "cannot read MsgType header");
     return;
   }
-  const auto begin = text.find("enum class MsgType");
-  const auto end = text.find("};", begin);
-  if (begin == std::string::npos || end == std::string::npos) {
-    report(enum_hpp, 0, "msgtype-tables", "cannot locate enum class MsgType");
+  const std::vector<Token>& t = hdr.toks;
+  std::size_t k = first_match(t, 0, t.size(), "enum class MsgType");
+  k = first_match(t, k, t.size(), "{");
+  if (k == t.size()) {
+    report(hdr.path, 0, "msgtype-tables", "cannot locate enum class MsgType");
     return;
   }
+  // Enumerators: the `kName` after the '{' and after each ','.
   std::vector<std::string> enumerators;
-  static const std::regex name(R"(^\s*(k[A-Za-z0-9]+)\s*,?)");
-  for (const auto& l : split_lines(text.substr(begin, end - begin))) {
-    std::smatch m;
-    if (std::regex_search(l, m, name)) enumerators.push_back(m[1].str());
+  for (; k + 1 < t.size() && !t[k].is("}"); ++k)
+    if (match(t, k, "{|, $") != 0 && t[k + 1].text.size() > 1 &&
+        t[k + 1].text[0] == 'k')
+      enumerators.emplace_back(t[k + 1].text);
+  const std::size_t c =  // the value of `constexpr unsigned kNumMsgTypes =`
+      first_match(t, 0, t.size(), "constexpr unsigned kNumMsgTypes =") + 4;
+  if (c >= t.size() ||
+      std::isdigit(static_cast<unsigned char>(t[c].text[0])) == 0) {
+    report(hdr.path, 0, "msgtype-tables", "kNumMsgTypes constant not found");
+  } else if (std::stoul(std::string(t[c].text)) != enumerators.size()) {
+    report(hdr.path, 0, "msgtype-tables",
+           "kNumMsgTypes = " + std::string(t[c].text) + " but enum has " +
+               std::to_string(enumerators.size()) + " enumerators");
   }
-  std::smatch count_m;
-  static const std::regex count_re(
-      R"(constexpr\s+unsigned\s+kNumMsgTypes\s*=\s*(\d+))");
-  if (std::regex_search(text, count_m, count_re)) {
-    if (std::stoul(count_m[1].str()) != enumerators.size()) {
-      report(enum_hpp, 0, "msgtype-tables",
-             "kNumMsgTypes = " + count_m[1].str() + " but enum has " +
-                 std::to_string(enumerators.size()) + " enumerators");
-    }
-  } else {
-    report(enum_hpp, 0, "msgtype-tables", "kNumMsgTypes constant not found");
-  }
-  const fs::path tables[] = {root / "src/protocol/coherence_msg.cpp",
-                             root / "src/verify/wire_check.cpp"};
-  for (const auto& table : tables) {
-    const std::string body = read_file(table);
-    for (const auto& e : enumerators) {
-      // Word-boundary match: MsgType::kX not followed by more identifier.
-      const std::regex use("MsgType::" + e + R"(\b)");
-      if (!std::regex_search(body, use)) {
-        report(table, 0, "msgtype-tables",
+  for (const char* table :
+       {"src/protocol/coherence_msg.cpp", "src/verify/wire_check.cpp"}) {
+    const Source& s = load(root, root / table);
+    std::set<std::string_view> used;  // every `MsgType::kX`
+    for (std::size_t i = 0; i < s.toks.size(); ++i)
+      if (match(s.toks, i, "MsgType :: $") != 0)
+        used.insert(s.toks[i + 2].text);
+    for (const auto& e : enumerators)
+      if (used.count(e) == 0U)
+        report(s.path, 0, "msgtype-tables",
                "MsgType::" + e + " missing from this classification table");
-      }
-    }
   }
 }
 
@@ -257,149 +372,83 @@ void check_msgtype_tables(const fs::path& root) {
 void check_stat_registration(const fs::path& root) {
   // A ScalarStat/Histogram constructed directly (member or local) is never
   // registered with StatRegistry, so it silently vanishes from reports.
-  static const std::regex decl(
-      R"(^\s*(?:tcmp::)?(ScalarStat|Histogram)\s+([a-zA-Z_]\w*)\s*[{;=(])");
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const std::string rel = fs::relative(f, root).generic_string();
-      if (rel == "src/common/stats.hpp" || rel == "src/common/stats.cpp")
-        continue;  // the registry's own storage
-      const auto lines = split_lines(read_file(f));
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& l = lines[i];
-        if (l.find("tcmplint: allow-local-stat") != std::string::npos) continue;
-        std::smatch m;
-        if (std::regex_search(l, m, decl)) {
-          report(f, static_cast<long>(i + 1), "stat-registration",
-                 m[1].str() + " '" + m[2].str() +
-                     "' constructed outside StatRegistry — it will never "
-                     "appear in reports; register it via StatRegistry (or "
-                     "annotate 'tcmplint: allow-local-stat' with a reason)");
-        }
-      }
+  for (const Source* s : sources(root, "src", {".hpp", ".cpp"})) {
+    if (s->rel == "src/common/stats.hpp" || s->rel == "src/common/stats.cpp")
+      continue;  // the registry's own storage
+    for (std::size_t k = 0; k < s->toks.size(); ++k) {
+      const std::size_t e =
+          match(s->toks, k, "tcmp? ::? ScalarStat|Histogram $ {|;|=|(");
+      if (e == 0 || !s->first_on_line(k) ||
+          s->has(s->toks[k].line, "allow-local-stat"))
+        continue;
+      report(s->path, s->toks[k].line, "stat-registration",
+             std::string(s->toks[e - 3].text) + " '" +
+                 std::string(s->toks[e - 2].text) +
+                 "' constructed outside StatRegistry — it will never "
+                 "appear in reports; register it via StatRegistry (or "
+                 "annotate 'tcmplint: allow-local-stat' with a reason)");
     }
   }
 }
 
-// ---- stat-string-hot-path ------------------------------------------------
+// ---- stat-string-hot-path / obs-emit-interned ----------------------------
+
+/// Reports each `<call>("` (call from the '|'-separated `calls`) in the
+/// hot-path directories that sits outside a constructor or init function
+/// (see enclosing_def for `column0`) and has no `tcmplint: <tag>` on its
+/// line. `what` finishes the message.
+void check_init_only(const fs::path& root, const char* rule,
+                     const std::string& calls, bool column0, const char* tag,
+                     const std::string& what) {
+  const std::string call = calls + " ( \"";
+  for (const char* dir :
+       {"protocol", "noc", "het", "core", "cmp", "obs", "verify"}) {
+    for (const Source* s :
+         sources(root, fs::path("src") / dir, {".hpp", ".cpp"})) {
+      const std::vector<Token>& t = s->toks;
+      for (long l = 1; l <= static_cast<long>(s->lines.size()); ++l) {
+        const std::size_t e = s->line_begin(l + 1);
+        const std::size_t k = first_match(t, s->line_begin(l), e, call);
+        if (k == e || s->has(l, tag)) continue;
+        const Def d = enclosing_def(*s, l, column0, true);
+        if (d.ctor() || d.fn.find("init") != std::string::npos) continue;
+        report(s->path, l, rule,
+               "'" + std::string(t[k].text) + "(\"...\")' " + what +
+                   ", or annotate 'tcmplint: " + tag + "' with a reason");
+      }
+    }
+  }
+}
 
 void check_stat_string_hot_path(const fs::path& root) {
   // Per-event string-keyed registry lookups are a map walk plus string
   // compares on every bump; the hot-path contract (common/stats.hpp) is to
   // resolve once via counter_ref/scalar_ref/histogram_ref at construction.
-  // The regex cannot match the sanctioned calls: counter_ref(, counter_value(,
-  // find_counter( and find_histogram( all put word characters between the
-  // keyword and the paren.
-  static const std::regex bump(R"(\b(counter|scalar|histogram)\s*\(\s*")");
-  // A member function definition: `... ClassName::name(` — the enclosing
-  // context for a .cpp bump site.
-  static const std::regex member_def(R"(\b([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)\s*\()");
-  // An in-class constructor or init method definition: `Name(...)` at
-  // declaration position (checked against `class/struct Name` in the file).
-  static const std::regex inline_def(
-      R"(^\s*(?:explicit\s+)?([A-Za-z_]\w*)\s*\()");
-  static const char* kHotDirs[] = {"protocol", "noc",  "het",   "core",
-                                   "cmp",      "obs",  "verify"};
-  for (const char* dir : kHotDirs) {
-    for (const std::string ext : {".hpp", ".cpp"}) {
-      for (const auto& f : collect(root / "src" / dir, ext)) {
-        const std::string text = read_file(f);
-        const auto lines = split_lines(text);
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          const std::string& l = lines[i];
-          if (l.find("tcmplint: allow-stat-string") != std::string::npos)
-            continue;
-          std::smatch m;
-          if (!std::regex_search(l, m, bump)) continue;
-          // Walk back to the nearest function definition to decide whether
-          // the call sits in a constructor / init path (one-time resolution
-          // is exactly what the contract asks for).
-          bool allowed = false;
-          for (std::size_t j = i + 1; j-- > 0;) {
-            std::smatch d;
-            if (std::regex_search(lines[j], d, member_def)) {
-              const std::string cls = d[1].str(), fn = d[2].str();
-              allowed = cls == fn || fn.find("init") != std::string::npos;
-              break;
-            }
-            if (std::regex_search(lines[j], d, inline_def) &&
-                (text.find("class " + d[1].str()) != std::string::npos ||
-                 text.find("struct " + d[1].str()) != std::string::npos)) {
-              allowed = true;  // in-class constructor definition
-              break;
-            }
-          }
-          if (!allowed) {
-            report(f, static_cast<long>(i + 1), "stat-string-hot-path",
-                   "string-keyed StatRegistry lookup '" + m[1].str() +
-                       "(\"...\")' on a hot path — resolve a " + m[1].str() +
-                       "_ref handle once at construction and bump through it "
-                       "(see the hot-path contract in common/stats.hpp), or "
-                       "annotate 'tcmplint: allow-stat-string' with a reason");
-          }
-        }
-      }
-    }
-  }
+  // The sanctioned calls (counter_ref(, counter_value(, find_counter(, ...)
+  // are other tokens.
+  check_init_only(root, "stat-string-hot-path", "counter|scalar|histogram",
+                  false, "allow-stat-string",
+                  "is a string-keyed StatRegistry lookup on a hot path — "
+                  "resolve a *_ref handle once at construction and bump "
+                  "through it (see the hot-path contract in "
+                  "common/stats.hpp)");
 }
-
-// ---- obs-emit-interned ---------------------------------------------------
 
 void check_obs_emit_interned(const fs::path& root) {
   // The stat-string-hot-path rule bans `counter("...")` bumps, but a
   // `counter_ref("...")` resolved at the emit site is the same map walk in a
   // handle costume. Interning is only an optimization when it happens once:
   // _ref calls with inline string literals are confined to constructors and
-  // init functions, where the handle is cached for the run.
-  static const std::regex emit(
-      R"(\b(counter_ref|scalar_ref|histogram_ref)\s*\(\s*")");
-  // Anchored at column 0: out-of-class definitions start unindented in this
-  // codebase, while qualified *calls* (std::move(, protocol::to_string() sit
-  // inside indented statements — the anchor keeps them out of the walk.
-  static const std::regex member_def(
-      R"(^(?=[^\s/]).*?\b([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)\s*\()");
-  static const std::regex inline_def(
-      R"(^\s*(?:explicit\s+)?([A-Za-z_]\w*)\s*\()");
-  static const char* kHotDirs[] = {"protocol", "noc",  "het",   "core",
-                                   "cmp",      "obs",  "verify"};
-  for (const char* dir : kHotDirs) {
-    for (const std::string ext : {".hpp", ".cpp"}) {
-      for (const auto& f : collect(root / "src" / dir, ext)) {
-        const std::string text = read_file(f);
-        const auto lines = split_lines(text);
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          const std::string& l = lines[i];
-          if (l.find("tcmplint: allow-string-emit") != std::string::npos)
-            continue;
-          std::smatch m;
-          if (!std::regex_search(l, m, emit)) continue;
-          bool allowed = false;
-          for (std::size_t j = i + 1; j-- > 0;) {
-            std::smatch d;
-            if (std::regex_search(lines[j], d, member_def)) {
-              const std::string cls = d[1].str(), fn = d[2].str();
-              allowed = cls == fn || fn.find("init") != std::string::npos;
-              break;
-            }
-            if (std::regex_search(lines[j], d, inline_def) &&
-                (text.find("class " + d[1].str()) != std::string::npos ||
-                 text.find("struct " + d[1].str()) != std::string::npos)) {
-              allowed = true;  // in-class constructor definition
-              break;
-            }
-          }
-          if (!allowed) {
-            report(f, static_cast<long>(i + 1), "obs-emit-interned",
-                   "emit-site handle resolution '" + m[1].str() +
-                       "(\"...\")' outside init — intern the handle once at "
-                       "construction/init and emit through it (hot-path "
-                       "contract, common/stats.hpp), or annotate "
-                       "'tcmplint: allow-string-emit' with a reason");
-          }
-        }
-      }
-    }
-  }
+  // init functions, where the handle is cached for the run. Only column-0
+  // heads end the walk back: out-of-class definitions start unindented,
+  // while qualified calls (std::move(, protocol::to_string() sit inside
+  // indented statements.
+  check_init_only(root, "obs-emit-interned",
+                  "counter_ref|scalar_ref|histogram_ref", true,
+                  "allow-string-emit",
+                  "resolves an emit-site handle outside init — intern the "
+                  "handle once at construction/init and emit through it "
+                  "(hot-path contract, common/stats.hpp)");
 }
 
 // ---- scheduled-contract --------------------------------------------------
@@ -407,30 +456,23 @@ void check_obs_emit_interned(const fs::path& root) {
 void check_scheduled_contract(const fs::path& root) {
   // A component with a per-cycle tick(Cycle) that does not expose
   // next_event()/quiescent() is invisible to SimKernel: dead-cycle skipping
-  // would jump over cycles where it had work. The word boundary keeps
-  // sample_tick / undo_blocked_tick and friends out of scope — only the bare
-  // `tick(Cycle` entry point implies kernel-driven stepping.
-  static const std::regex tick_decl(R"(\btick\s*\(\s*(?:tcmp::)?Cycle\b)");
-  for (const auto& h : collect(root / "src", ".hpp")) {
-    const auto lines = split_lines(read_file(h));
-    long tick_line = 0;
-    bool has_next_event = false, has_quiescent = false, allowed = false;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::string& l = lines[i];
-      if (l.find("tcmplint: allow-unscheduled-tick") != std::string::npos)
-        allowed = true;
-      if (tick_line == 0 && std::regex_search(l, tick_decl))
-        tick_line = static_cast<long>(i + 1);
-      if (l.find("next_event(") != std::string::npos) has_next_event = true;
-      if (l.find("quiescent(") != std::string::npos) has_quiescent = true;
-    }
-    if (tick_line != 0 && !allowed && !(has_next_event && has_quiescent)) {
-      report(h, tick_line, "scheduled-contract",
-             "declares tick(Cycle) but not the sim::Scheduled contract "
-             "(next_event() + quiescent()); the event kernel would skip this "
-             "component's work — implement both (see docs/kernel.md) or "
-             "annotate 'tcmplint: allow-unscheduled-tick' with a reason");
-    }
+  // would jump over cycles where it had work. Only the bare `tick(Cycle`
+  // entry point implies kernel-driven stepping; sample_tick and friends are
+  // other tokens.
+  for (const Source* s : sources(root, "src", {".hpp"})) {
+    const std::vector<Token>& t = s->toks;
+    const std::size_t tick =
+        first_match(t, 0, t.size(), "tick ( tcmp? ::? Cycle");
+    if (tick == t.size() ||
+        s->raw.find("tcmplint: allow-unscheduled-tick") != std::string::npos ||
+        (first_match(t, 0, t.size(), "next_event (") < t.size() &&
+         first_match(t, 0, t.size(), "quiescent (") < t.size()))
+      continue;
+    report(s->path, t[tick].line, "scheduled-contract",
+           "declares tick(Cycle) but not the sim::Scheduled contract "
+           "(next_event() + quiescent()); the event kernel would skip this "
+           "component's work — implement both (see docs/kernel.md) or "
+           "annotate 'tcmplint: allow-unscheduled-tick' with a reason");
   }
 }
 
@@ -442,132 +484,38 @@ void check_mutable_static(const fs::path& root) {
   // must not find. `static const`/`static constexpr` are immutable after a
   // thread-safe once-init; `static std::atomic<...>` is race-free by type.
   // Everything else needs the allow-comment and a mutex-guarded design.
-  static const std::regex decl(
-      R"(^\s*(?:inline\s+)?static\s+([A-Za-z_][\w:<>,&*\s]*?)\s+\**)"
-      R"(([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?(=|\{|;))");
-  static const std::regex immutable(R"(\b(const|constexpr)\b)");
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const auto lines = split_lines(read_file(f));
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& l = lines[i];
-        if (l.find("tcmplint: allow-mutable-static") != std::string::npos)
-          continue;
-        std::smatch m;
-        if (!std::regex_search(l, m, decl)) continue;
-        const std::string type = m[1].str();
-        if (std::regex_search(type, immutable)) continue;
-        if (type.find("std::atomic") != std::string::npos) continue;
-        report(f, static_cast<long>(i + 1), "mutable-static",
-               "mutable static '" + m[2].str() +
-                   "' is shared state every sweep thread can reach — make it "
-                   "const/constexpr, std::atomic, or a mutex-guarded "
-                   "singleton annotated 'tcmplint: allow-mutable-static' "
-                   "with a reason");
-      }
-    }
-  }
-}
-
-// ---- guarded-field -------------------------------------------------------
-
-// Locate the class body enclosing line `idx` (brace counting, backward for
-// the opening '{', forward for the close). Returns false when `idx` is not
-// inside braces opened by a struct/class head.
-bool enclosing_class_body(const std::vector<std::string>& lines,
-                          std::size_t idx, std::size_t& body_begin,
-                          std::size_t& body_end) {
-  long depth = 0;
-  std::size_t open_line = lines.size();
-  for (std::size_t j = idx + 1; j-- > 0;) {
-    const std::string& l = lines[j];
-    for (std::size_t k = l.size(); k-- > 0;) {
-      if (l[k] == '}') ++depth;
-      if (l[k] == '{') {
-        if (depth == 0) {
-          open_line = j;
+  for (const Source* s : sources(root, "src", {".hpp", ".cpp"})) {
+    const std::vector<Token>& t = s->toks;
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      // `[inline] static TYPE [*]name [[n]] =|{|;` opening a line, TYPE
+      // being words, `::`, `:`, `<>`, `,`, `&` and `*`.
+      const std::size_t type = match(t, k, "inline? static $");
+      if (type == 0 || !s->first_on_line(k)) continue;
+      std::size_t name = type - 1;
+      for (std::size_t n = type; n < t.size() && name == type - 1; ++n) {
+        std::size_t p = n;  // '*'s glued to the name
+        while (t[p - 1].is("*") && t[p - 1].end() == t[p].pos) --p;
+        if (t[n].ident() && p >= type && t[p].pos > t[p - 1].end() &&
+            match(t, tcmplint::past(t, n + 1, "[", "]"), "=|{|;") != 0)
+          name = n;
+        else if (!tcmplint::word_char(t[n].text[0]) &&
+                 !one_of(t[n], "::|:|<|>|,|&|*"))
           break;
-        }
-        --depth;
       }
-    }
-    if (open_line != lines.size()) break;
-  }
-  if (open_line == lines.size()) return false;
-  // The '{' must belong to a struct/class head (possibly on the line above,
-  // for wrapped declarations).
-  static const std::regex head(R"(\b(struct|class)\s+[A-Za-z_]\w*)");
-  bool is_class = false;
-  for (std::size_t j = open_line + 1; j-- > 0 && j + 3 > open_line;) {
-    if (std::regex_search(lines[j], head)) {
-      is_class = true;
-      break;
-    }
-  }
-  if (!is_class) return false;
-  body_begin = open_line + 1;
-  depth = 1;
-  for (std::size_t j = body_begin; j < lines.size(); ++j) {
-    // Depth at the *start* of line j decides whether it is a direct member.
-    for (const char c : lines[j]) {
-      if (c == '{') ++depth;
-      if (c == '}') --depth;
-    }
-    if (depth <= 0) {
-      body_end = j;
-      return true;
-    }
-  }
-  return false;
-}
-
-void check_guarded_field(const fs::path& root) {
-  // A class that owns a Mutex has declared "my fields are shared"; every
-  // sibling data member must then say which lock protects it, so Clang's
-  // -Wthread-safety can reject unlocked access paths. The scan is line-
-  // oriented: a member line is one ending in ';' with no '(' (functions and
-  // macros excluded) inside the mutex's class body.
-  static const std::regex mutex_decl(
-      R"(^\s*(?:tcmp::)?(?:Mutex|std::mutex)\s+([A-Za-z_]\w*)\s*(;|\{))");
-  static const std::regex member_like(
-      R"(^\s*[A-Za-z_][\w:<>,*&\s]*[\s*&]([A-Za-z_]\w*)\s*(\[[^\]]*\]\s*)?(=[^=]|\{|;))");
-  static const std::regex skip_kw(
-      R"(^\s*(using|typedef|friend|static|public:|private:|protected:|struct|class|enum|//|#))");
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const std::string rel = fs::relative(f, root).generic_string();
-      if (rel == "src/common/sync.hpp") continue;  // the wrappers themselves
-      const auto lines = split_lines(read_file(f));
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        std::smatch m;
-        if (!std::regex_search(lines[i], m, mutex_decl)) continue;
-        std::size_t begin = 0, end = 0;
-        if (!enclosing_class_body(lines, i, begin, end)) continue;
-        long depth = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-          const std::string& l = lines[j];
-          const long line_depth = depth;
-          for (const char c : l) {
-            if (c == '{') ++depth;
-            if (c == '}') --depth;
-          }
-          if (line_depth != 0 || j == i) continue;  // nested scope / the mutex
-          if (l.find("TCMP_GUARDED_BY") != std::string::npos) continue;
-          if (l.find("tcmplint: allow-unguarded-field") != std::string::npos)
-            continue;
-          if (std::regex_search(l, skip_kw)) continue;
-          if (l.find('(') != std::string::npos) continue;  // function-ish
-          std::smatch fm;
-          if (!std::regex_search(l, fm, member_like)) continue;
-          report(f, static_cast<long>(j + 1), "guarded-field",
-                 "field '" + fm[1].str() + "' shares a class with mutex '" +
-                     m[1].str() +
-                     "' but carries no TCMP_GUARDED_BY annotation "
-                     "(common/sync.hpp) — annotate the lock that protects "
-                     "it, or 'tcmplint: allow-unguarded-field' with a "
-                     "reason");
-        }
-      }
+      if (name == type - 1 || s->has(t[k].line, "allow-mutable-static"))
+        continue;
+      bool immutable = false;
+      for (std::size_t i = type - 1; i < name; ++i)
+        immutable = immutable || one_of(t[i], "const|constexpr") ||
+                    (match(t, i, "std :: $") != 0 &&
+                     t[i + 2].text.starts_with("atomic"));
+      if (immutable) continue;
+      report(s->path, t[k].line, "mutable-static",
+             "mutable static '" + std::string(t[name].text) +
+                 "' is shared state every sweep thread can reach — make it "
+                 "const/constexpr, std::atomic, or a mutex-guarded "
+                 "singleton annotated 'tcmplint: allow-mutable-static' "
+                 "with a reason");
     }
   }
 }
@@ -575,32 +523,27 @@ void check_guarded_field(const fs::path& root) {
 // ---- tile-escape ---------------------------------------------------------
 
 void check_tile_escape(const fs::path& root) {
-  // The invariant Graphite-style partitioning (ROADMAP item 1) will cut
-  // along: a tile's components (L1, L1I, directory slice, core, NIC) are
-  // owned by that tile, and nothing outside the sanctioned seams may hold a
-  // raw pointer/reference into them — cross-tile interaction flows through
-  // the NIC/message seam or the SimKernel registration path, both of which
-  // become partition boundaries. Two per-TU passes:
+  // The invariant the partitioned driver (docs/partitioning.md) cuts along:
+  // a tile's components (L1, L1I, directory slice, core, NIC) are owned by
+  // that tile, and nothing outside the sanctioned seams may hold a raw
+  // pointer/reference into them — cross-tile interaction flows through the
+  // NIC/message seam or the SimKernel registration path, both of which are
+  // partition boundaries. Two per-line matches:
   //   (a) declarations of `TileType*` / `TileType&` anywhere in src/;
   //   (b) bindings that materialize a component handle from the tile table
   //       (`= *tiles_[..]->comp`, `x = t->comp.get()` captures).
   // Allowed without annotation: the type's own translation unit, the
   // documented same-tile collaborator edges (core/ -> L1Cache/ICache),
-  // `add_component(` registration lines, and constructor wiring (walk-back
-  // finds a constructor definition). Everything else must carry
-  // `tcmplint: tile-seam (reason)` — the annotated sites are the complete
-  // inventory of places the partitioned driver had to turn into messages
-  // (it has: see docs/partitioning.md), which is why the reasons in
-  // src/cmp/system.* are further held to the closed prefix set below.
-  static const std::regex raw_handle(
-      R"(\b(L1Cache|ICache|Directory|Core|TileNic)\s*(?:const\s*)?[*&])");
-  static const std::regex tile_bind(
-      R"(=\s*\*?\s*(?:&\s*)?[A-Za-z_]\w*(?:\[[^\]]*\])?\s*->\s*(l1i?|dir|core|nic)\b\s*(\.get\(\))?\s*[,;)\]}]?)");
-  static const std::regex member_def(
-      R"(\b([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)\s*\()");
+  // `add_component(` registration lines, and constructor wiring (the
+  // nearest qualified `X::X(` line above is a constructor head).
+  // Everything else must carry `tcmplint: tile-seam (reason)` — the
+  // annotated sites are the complete inventory of places the partitioned
+  // driver had to turn into messages (it has: see docs/partitioning.md),
+  // which is why the reasons in src/cmp/system.* are further held to the
+  // closed prefix set below.
   struct Edge {
     const char* file_substr;  // TU allowed to hold the handle
-    const char* type;         // "" = any tile-owned type
+    const char* type;
   };
   static const Edge kAllowedEdges[] = {
       // A type's own TU.
@@ -636,77 +579,68 @@ void check_tile_escape(const fs::path& root) {
     return reason.rfind("same-tile", 0) == 0 ||
            reason.rfind("single-threaded", 0) == 0;
   };
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const std::string rel = fs::relative(f, root).generic_string();
-      const auto lines = split_lines(read_file(f));
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& l = lines[i];
-        // The seam annotation may sit on the line itself or the line above
-        // (bind sites inside wrapped expressions get long).
-        if (const auto apos = l.find("tcmplint: tile-seam");
-            apos != std::string::npos) {
-          if (!seam_reason_ok(rel, l, apos))
-            report(f, static_cast<long>(i + 1), "tile-escape",
-                   "tile-seam reason in src/cmp/system.* must start with "
-                   "'same-tile' or 'single-threaded' — the partitioned "
-                   "driver retired every cross-partition seam there; route "
-                   "new cross-partition interaction through the boundary "
-                   "channels (docs/partitioning.md)");
-          continue;
-        }
-        if (i > 0 &&
-            lines[i - 1].find("tcmplint: tile-seam") != std::string::npos)
-          continue;
-        if (l.find("add_component(") != std::string::npos) continue;
-        std::smatch m;
-        std::string what;
-        if (std::regex_search(l, m, raw_handle)) {
-          bool edge_ok = false;
-          for (const Edge& e : kAllowedEdges) {
-            if (rel.find(e.file_substr) != std::string::npos &&
-                m[1].str() == e.type) {
-              edge_ok = true;
-              break;
-            }
-          }
-          if (edge_ok) continue;
-          what = "raw handle to tile-owned type '" + m[1].str() + "'";
-        } else if (std::regex_search(l, m, tile_bind)) {
-          what = "binding of per-tile component handle '" + m[1].str() + "'";
-        } else {
-          continue;
-        }
-        // Constructor wiring is single-threaded and happens-before the
-        // simulation: walk back to the enclosing member definition and
-        // allow `X::X(`.
-        bool in_ctor = false;
-        for (std::size_t j = i + 1; j-- > 0;) {
-          std::smatch d;
-          if (std::regex_search(lines[j], d, member_def)) {
-            in_ctor = d[1].str() == d[2].str();
-            break;
-          }
-        }
-        if (in_ctor) continue;
-        report(f, static_cast<long>(i + 1), "tile-escape",
-               what +
-                   " escapes the tile-ownership seams (NIC/message path, "
-                   "SimKernel registration, constructor wiring) — route the "
-                   "interaction through a message, or annotate "
-                   "'tcmplint: tile-seam' with the partition-boundary "
-                   "reason (docs/static-analysis.md)");
+  for (const Source* s : sources(root, "src", {".hpp", ".cpp"})) {
+    const std::vector<Token>& t = s->toks;
+    for (long l = 1; l <= static_cast<long>(s->lines.size()); ++l) {
+      // The seam annotation may sit on the line itself or the line above
+      // (bind sites inside wrapped expressions get long).
+      const std::string& raw = s->lines[static_cast<std::size_t>(l - 1)];
+      if (const auto apos = raw.find("tcmplint: tile-seam");
+          apos != std::string::npos) {
+        if (!seam_reason_ok(s->rel, raw, apos))
+          report(s->path, l, "tile-escape",
+                 "tile-seam reason in src/cmp/system.* must start with "
+                 "'same-tile' or 'single-threaded' — the partitioned "
+                 "driver retired every cross-partition seam there; route "
+                 "new cross-partition interaction through the boundary "
+                 "channels (docs/partitioning.md)");
+        continue;
       }
+      const std::size_t b = s->line_begin(l), e = s->line_begin(l + 1);
+      if (s->has(l - 1, "tile-seam") ||
+          first_match(t, b, e, "add_component (") < e)
+        continue;
+      std::string what;
+      if (const std::size_t k = first_match(
+              t, b, e, "L1Cache|ICache|Directory|Core|TileNic const? *|&");
+          k < e) {
+        if (std::any_of(std::begin(kAllowedEdges), std::end(kAllowedEdges),
+                        [&](const Edge& edge) {
+                          return s->rel.find(edge.file_substr) !=
+                                     std::string::npos &&
+                                 t[k].is(edge.type);
+                        }))
+          continue;
+        what = "raw handle to tile-owned type '" + std::string(t[k].text) + "'";
+      } else {
+        // `= [*][&]name[[...]]->l1|l1i|dir|core|nic`
+        for (std::size_t k = b; k < e && what.empty(); ++k) {
+          const std::size_t name_end = match(t, k, "= *? &? $");
+          if (name_end == 0) continue;
+          const std::size_t j = tcmplint::past(t, name_end, "[", "]");
+          if (j + 1 < e && match(t, j, "-> l1|l1i|dir|core|nic") != 0)
+            what = "binding of per-tile component handle '" +
+                   std::string(t[j + 1].text) + "'";
+        }
+      }
+      if (what.empty() || enclosing_def(*s, l, false, false).ctor()) continue;
+      report(s->path, l, "tile-escape",
+             what +
+                 " escapes the tile-ownership seams (NIC/message path, "
+                 "SimKernel registration, constructor wiring) — route the "
+                 "interaction through a message, or annotate "
+                 "'tcmplint: tile-seam' with the partition-boundary "
+                 "reason (docs/static-analysis.md)");
     }
   }
 }
 
 // ---- cross-TU class/field model (tcmplint_model.hpp) ---------------------
 //
-// The four determinism / state-integrity rules below share one parse of
-// src/ into a class model: fields with types and initializers, constructor
-// mem-init lists (including out-of-line definitions in .cpp — the cross-TU
-// part), and method bodies. Built lazily, once per process.
+// The model rules below share one parse of src/ into a class model: fields
+// with types and initializers, constructor mem-init lists (including
+// out-of-line definitions in .cpp — the cross-TU part), and method bodies.
+// Built lazily, once per process.
 
 const tcmplint::Model& class_model(const fs::path& root) {
   static std::map<std::string, tcmplint::Model> cache;
@@ -723,121 +657,122 @@ std::string path_stem(const std::string& p) {
   return dot == std::string::npos ? p : p.substr(0, dot);
 }
 
-/// `// tcmplint: <tag>` on the 1-based line or the line above it.
-bool annotated_at(const std::vector<std::string>& raw_lines, long line,
-                  const std::string& tag) {
-  const std::string needle = "tcmplint: " + tag;
-  auto has = [&](long l) {
-    return l >= 1 && l <= static_cast<long>(raw_lines.size()) &&
-           raw_lines[static_cast<std::size_t>(l - 1)].find(needle) !=
-               std::string::npos;
-  };
-  return has(line) || has(line - 1);
-}
+// ---- guarded-field -------------------------------------------------------
 
-std::vector<std::string> raw_lines_of(const fs::path& p) {
-  return split_lines(read_file(p));
+void check_guarded_field(const fs::path& root) {
+  // A class that owns a Mutex has declared "my fields are shared"; every
+  // sibling data member must then say which lock protects it, so Clang's
+  // -Wthread-safety can reject unlocked access paths. Static members,
+  // nested classes and anything function-shaped are not data members.
+  for (const auto& c : class_model(root).classes) {
+    const auto mu =
+        std::find_if(c.fields.begin(), c.fields.end(), [](const auto& f) {
+          return !f.is_static &&
+                 (f.type == "Mutex" || f.type == "tcmp::Mutex" ||
+                  f.type == "std::mutex");
+        });
+    if (mu == c.fields.end()) continue;
+    const Source& s = load(root, c.file);
+    if (s.rel == "src/common/sync.hpp") continue;  // the wrappers themselves
+    for (const auto& fd : c.fields) {
+      const std::string& line = s.lines[static_cast<std::size_t>(fd.line - 1)];
+      if (&fd == &*mu || fd.is_static ||
+          line.find("TCMP_GUARDED_BY") != std::string::npos ||
+          s.has(fd.line, "allow-unguarded-field"))
+        continue;
+      report(fd.file, fd.line, "guarded-field",
+             "field '" + fd.name + "' shares a class with mutex '" + mu->name +
+                 "' but carries no TCMP_GUARDED_BY annotation "
+                 "(common/sync.hpp) — annotate the lock that protects it, "
+                 "or 'tcmplint: allow-unguarded-field' with a reason");
+    }
+  }
 }
-
 // ---- nondet-iteration ----------------------------------------------------
 
 void check_nondet_iteration(const fs::path& root) {
   // Iterating an unordered_map/unordered_set visits elements in hash-table
   // order — a function of libstdc++ internals, insertion history and the
-  // hash seed, none of which the golden reports or a future partitioned
-  // kernel can pin down. Any loop over an unordered container in src/ must
+  // hash seed, none of which the golden reports or the partitioned kernel
+  // can pin down. Any loop over an unordered container in src/ must
   // either switch to an ordered container, sort a snapshot before acting on
   // it, or prove the body commutative with an inline
   // `tcmplint: order-insensitive (reason)` annotation. The container may be
   // declared in another TU (a class member in the header, iterated in the
   // .cpp) — that resolution is what the class model is for.
   const tcmplint::Model& model = class_model(root);
-  static const std::regex local_decl(
-      R"(\bunordered_(?:map|set)\s*<.*>\s*[&*]?\s*([A-Za-z_]\w*)\s*[;,)=({])");
-  static const std::regex begin_call(
-      R"(([A-Za-z_]\w*)\s*\.\s*c?begin\s*\()");
-  static const std::regex ident(R"([A-Za-z_]\w*)");
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const std::string fname = f.generic_string();
-      const std::string stem = path_stem(fname);
-      // Names of unordered-typed variables visible in this file: members of
-      // classes defined here or in the stem-paired header/source, members
-      // of any class with an out-of-line method body in this file, plus
-      // local/parameter declarations matched textually below.
-      std::set<std::string> unordered_names;
-      for (const auto& c : model.classes) {
-        bool related = c.file == fname || path_stem(c.file) == stem;
-        if (!related)
-          for (const auto& b : c.bodies)
-            if (b.file == fname) {
-              related = true;
-              break;
-            }
-        if (!related) continue;
-        for (const auto& fd : c.fields)
-          if (fd.type.find("unordered_map") != std::string::npos ||
-              fd.type.find("unordered_set") != std::string::npos)
-            unordered_names.insert(fd.name);
-      }
-      const std::string raw = read_file(f);
-      const auto raw_lines = split_lines(raw);
-      const auto code_lines = split_lines(tcmplint::strip_code(raw));
-      for (const auto& l : code_lines) {
-        std::smatch m;
-        std::string rest = l;
-        while (std::regex_search(rest, m, local_decl)) {
-          unordered_names.insert(m[1].str());
-          rest = m.suffix().str();
+  for (const Source* s : sources(root, "src", {".hpp", ".cpp"})) {
+    const std::string fname = s->path.generic_string();
+    const std::string stem = path_stem(fname);
+    // Names of unordered-typed variables visible in this file: members of
+    // classes defined here or in the stem-paired header/source, members
+    // of any class with an out-of-line method body in this file, plus
+    // local/parameter declarations matched below.
+    std::set<std::string, std::less<>> unordered;
+    for (const auto& c : model.classes) {
+      bool related = c.file == fname || path_stem(c.file) == stem;
+      for (const auto& b : c.bodies) related = related || b.file == fname;
+      for (const auto& fd : c.fields)
+        if (related && (fd.type.find("unordered_map") != std::string::npos ||
+                        fd.type.find("unordered_set") != std::string::npos))
+          unordered.insert(fd.name);
+    }
+    const std::vector<Token>& t = s->toks;
+    // `unordered_map|set<...> [&|*]name ;|,|)|=|(|{`, the '>' being the last
+    // one on the line that fits.
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      if (match(t, k, "unordered_map|unordered_set <") == 0) continue;
+      const std::size_t e = s->line_begin(t[k].line + 1);
+      for (std::size_t g = e; g-- > k + 1;) {
+        const std::size_t n = match(t, g, "> &|*? $ ;|,|)|=|(|{");
+        if (n != 0 && n <= e) {
+          unordered.emplace(t[n - 2].text);
+          k = n - 1;
+          break;
         }
       }
-      if (unordered_names.empty()) continue;
-      for (std::size_t i = 0; i < code_lines.size(); ++i) {
-        const long line = static_cast<long>(i + 1);
-        if (annotated_at(raw_lines, line, "order-insensitive")) continue;
-        // Join a wrapped `for (...)` head (up to 4 continuation lines).
-        std::string stmt = code_lines[i];
-        const std::size_t for_pos = stmt.find("for");
-        for (std::size_t j = i + 1;
-             j < code_lines.size() && j < i + 4 &&
-             for_pos != std::string::npos &&
-             std::count(stmt.begin(), stmt.end(), '(') >
-                 std::count(stmt.begin(), stmt.end(), ')');
-             ++j)
-          stmt += " " + code_lines[j];
-        std::smatch m;
-        static const std::regex range_for(
-            R"(\bfor\s*\(([^;)]*[^:)]):([^:][^)]*)\))");
-        if (std::regex_search(stmt, m, range_for)) {
-          const std::string range_expr = m[2].str();
-          for (auto it = std::sregex_iterator(range_expr.begin(),
-                                              range_expr.end(), ident);
-               it != std::sregex_iterator(); ++it) {
-            if (unordered_names.count(it->str()) != 0U) {
-              report(f, line, "nondet-iteration",
-                     "range-for over unordered container '" + it->str() +
-                         "' — iteration order is not deterministic across "
-                         "stdlib implementations; use an ordered container, "
-                         "sort a snapshot first, or annotate "
-                         "'tcmplint: order-insensitive' with a proof the "
-                         "body is commutative");
-              break;
-            }
-          }
-        }
-        std::string rest = code_lines[i];
-        while (std::regex_search(rest, m, begin_call)) {
-          if (unordered_names.count(m[1].str()) != 0U) {
-            report(f, line, "nondet-iteration",
-                   "iterator walk over unordered container '" + m[1].str() +
-                       "' — iteration order is not deterministic; use an "
-                       "ordered container, sort a snapshot first, or "
-                       "annotate 'tcmplint: order-insensitive' with a proof "
-                       "the body is commutative");
-            break;
-          }
-          rest = m.suffix().str();
-        }
+    }
+    if (unordered.empty()) continue;
+    auto is_unordered = [&](const Token& r) {
+      return unordered.count(r.text) != 0U;
+    };
+    for (long l = 1; l <= static_cast<long>(s->lines.size()); ++l) {
+      if (s->annotated(l, "order-insensitive")) continue;
+      const std::size_t b = s->line_begin(l), e = s->line_begin(l + 1);
+      // `for (decl : range)`: the colon is the last single ':' before the
+      // first ')' or ';'; the head may wrap onto three more lines.
+      for (std::size_t k = first_match(t, b, e, "for ("); k < e;
+           k = first_match(t, k + 1, e, "for (")) {
+        std::size_t colon = 0, stop = k + 2;
+        for (; stop < s->line_begin(l + 4) && !one_of(t[stop], ")|;"); ++stop)
+          if (t[stop].is(":")) colon = stop;
+        if (colon <= k + 2 || !at(t, stop, ")")) continue;
+        const auto first = t.begin() + static_cast<long>(colon) + 1,
+                   last = t.begin() + static_cast<long>(stop);
+        if (const auto hit = std::find_if(first, last, is_unordered);
+            hit != last)
+          report(s->path, l, "nondet-iteration",
+                 "range-for over unordered container '" +
+                     std::string(hit->text) +
+                     "' — iteration order is not deterministic across "
+                     "stdlib implementations; use an ordered container, "
+                     "sort a snapshot first, or annotate "
+                     "'tcmplint: order-insensitive' with a proof the "
+                     "body is commutative");
+        break;
+      }
+      // `name.begin(` / `name.cbegin(`
+      for (std::size_t k = first_match(t, b, e, "$ . begin|cbegin ("); k < e;
+           k = first_match(t, k + 1, e, "$ . begin|cbegin (")) {
+        if (!is_unordered(t[k])) continue;
+        report(s->path, l, "nondet-iteration",
+               "iterator walk over unordered container '" +
+                   std::string(t[k].text) +
+                   "' — iteration order is not deterministic; use an "
+                   "ordered container, sort a snapshot first, or "
+                   "annotate 'tcmplint: order-insensitive' with a proof "
+                   "the body is commutative");
+        break;
       }
     }
   }
@@ -860,12 +795,16 @@ bool scalar_like_type(const std::string& type,
       "std::uint8_t",   "std::uint16_t", "std::uint32_t", "std::uint64_t",
       "std::uintptr_t", "std::intptr_t",
   };
-  std::string t = type;
-  // Qualifiers don't change initialization semantics.
-  t = std::regex_replace(t, std::regex(R"(\b(const|mutable|volatile)\b)"), "");
-  t = std::regex_replace(t, std::regex(R"(\s+)"), " ");
-  while (!t.empty() && (t.front() == ' ')) t.erase(t.begin());
-  while (!t.empty() && (t.back() == ' ')) t.pop_back();
+  // Qualifiers don't change initialization semantics: drop them, keeping
+  // one space wherever the declaration had whitespace.
+  std::string t;
+  std::size_t prev_end = 0;
+  for (const Token& tok : tcmplint::lex(type)) {
+    if (one_of(tok, "const|mutable|volatile")) continue;
+    if (!t.empty() && type.find(' ', prev_end) < tok.pos) t += ' ';
+    t += tok.text;
+    prev_end = tok.end();
+  }
   if (!t.empty() && t.back() == '*') return true;  // raw pointer
   if (kScalars.count(t) != 0U) return true;
   if (enum_types.count(t) != 0U) return true;
@@ -887,7 +826,6 @@ void check_uninit_member(const fs::path& root) {
   // default-construct and are exempt; the strong types (Cycle, LineAddr,
   // Quantity, CounterRef, ...) all zero-initialize themselves.
   const tcmplint::Model& model = class_model(root);
-  std::map<std::string, std::vector<std::string>> raw_cache;
   for (const auto& c : model.classes) {
     // Non-deleted constructors; delegating ctors inherit the target's
     // coverage and don't count against a member.
@@ -902,11 +840,8 @@ void check_uninit_member(const fs::path& root) {
         if (std::find(ct->inits.begin(), ct->inits.end(), fd.name) ==
             ct->inits.end())
           covered = false;
-      if (covered) continue;
-      auto rit = raw_cache.find(fd.file);
-      if (rit == raw_cache.end())
-        rit = raw_cache.emplace(fd.file, raw_lines_of(fd.file)).first;
-      if (annotated_at(rit->second, fd.line, "allow-uninit")) continue;
+      if (covered || load(root, fd.file).annotated(fd.line, "allow-uninit"))
+        continue;
       report(fd.file, fd.line, "uninit-member",
              "member '" + fd.name + "' of " + c.qual + " (type '" + fd.type +
                  "') has no default member initializer and is not covered "
@@ -917,52 +852,55 @@ void check_uninit_member(const fs::path& root) {
   }
 }
 
-// ---- reset-coverage ------------------------------------------------------
+// ---- reset-coverage / snapshot-coverage ----------------------------------
 
-void check_reset_coverage(const fs::path& root) {
-  // A reset()/zero_all()-style lifecycle method that silently skips a data
-  // member leaks state across what callers believe is a clean boundary —
-  // and the same member inventory is exactly what a checkpoint/restore
-  // serializer (ROADMAP item 4) must walk. Every data member must be
-  // mentioned in the method body (the body may live in another TU), be
-  // covered by a whole-object `*this = ...;` reassignment, or carry a
-  // `tcmplint: reset-exempt (reason)` annotation at its declaration.
-  const tcmplint::Model& model = class_model(root);
-  static const char* kLifecycle[] = {"reset", "zero_all", "clear_values",
-                                     "clear_stats"};
-  std::map<std::string, std::vector<std::string>> raw_cache;
-  static const std::regex whole_object(R"(\*\s*this\s*=)");
-  for (const auto& c : model.classes) {
-    for (const char* method : kLifecycle) {
-      const auto bodies = c.bodies_of(method);
-      if (bodies.empty()) continue;
-      bool whole = false;
-      for (const auto* b : bodies)
-        if (std::regex_search(b->body, whole_object)) whole = true;
-      if (whole) continue;
-      for (const auto& fd : c.fields) {
-        if (fd.is_static) continue;
-        const std::regex mention("\\b" + fd.name + "\\b");
-        bool mentioned = false;
-        for (const auto* b : bodies)
-          if (std::regex_search(b->body, mention)) mentioned = true;
-        if (mentioned) continue;
-        auto rit = raw_cache.find(fd.file);
-        if (rit == raw_cache.end())
-          rit = raw_cache.emplace(fd.file, raw_lines_of(fd.file)).first;
-        if (annotated_at(rit->second, fd.line, "reset-exempt")) continue;
-        report(bodies.front()->file, bodies.front()->line, "reset-coverage",
-               c.qual + "::" + method + "() does not mention member '" +
-                   fd.name + "' (" + fd.file + ":" +
-                   std::to_string(fd.line) +
-                   ") — reset it, or annotate the member "
-                   "'tcmplint: reset-exempt' with the reason it survives");
-      }
-    }
+/// Reports each member of `c` that none of `bodies` mentions, unless
+/// `skip(field)` or a `tcmplint: <tag>` annotation at its declaration.
+template <typename Skip>
+void check_mentions(const fs::path& root, const tcmplint::ClassInfo& c,
+                    const std::vector<const tcmplint::MethodBody*>& bodies,
+                    const char* rule, const char* tag, Skip skip,
+                    const std::string& what, const std::string& fix) {
+  std::set<std::string_view> mentioned;
+  for (const auto* b : bodies)
+    for (const Token& t : tcmplint::lex(b->body)) mentioned.insert(t.text);
+  for (const auto& fd : c.fields) {
+    if (fd.is_static || skip(fd) || mentioned.count(fd.name) != 0U ||
+        load(root, fd.file).annotated(fd.line, tag))
+      continue;
+    report(bodies.front()->file, bodies.front()->line, rule,
+           what + " does not mention member '" + fd.name + "' (" + fd.file +
+               ":" + std::to_string(fd.line) + ") — " + fix);
   }
 }
 
-// ---- snapshot-coverage ---------------------------------------------------
+void check_reset_coverage(const fs::path& root) {
+  // A reset()/zero_all()-style lifecycle method that silently skips a data
+  // member leaks state across what callers believe is a clean boundary.
+  // Every data member must be mentioned in the method body (the body may
+  // live in another TU), be covered by a whole-object `*this = ...;`
+  // reassignment, or carry a `tcmplint: reset-exempt (reason)` annotation
+  // at its declaration.
+  const tcmplint::Model& model = class_model(root);
+  for (const auto& c : model.classes) {
+    for (const char* method :
+         {"reset", "zero_all", "clear_values", "clear_stats"}) {
+      const auto bodies = c.bodies_of(method);
+      if (bodies.empty()) continue;
+      bool whole = false;  // a whole-object `*this = ...;`
+      for (const auto* b : bodies) {
+        const std::vector<Token> t = tcmplint::lex(b->body);
+        whole = whole || first_match(t, 0, t.size(), "* this =") < t.size();
+      }
+      if (whole) continue;
+      check_mentions(root, c, bodies, "reset-coverage", "reset-exempt",
+                     [](const tcmplint::Field&) { return false; },
+                     c.qual + "::" + method + "()",
+                     "reset it, or annotate the member 'tcmplint: "
+                     "reset-exempt' with the reason it survives");
+    }
+  }
+}
 
 void check_snapshot_coverage(const fs::path& root) {
   // The checkpoint/restore mirror of reset-coverage: a class that takes part
@@ -978,12 +916,17 @@ void check_snapshot_coverage(const fs::path& root) {
   // legitimately survives restore without serialization must carry a
   // `tcmplint: snapshot-exempt (reason)` annotation at its declaration.
   const tcmplint::Model& model = class_model(root);
-  std::map<std::string, std::vector<std::string>> raw_cache;
-  static const std::regex attachment_type(
-      R"(\*\s*$|std::function|CounterRef|ScalarRef|HistogramRef)");
+  auto attachment = [](const tcmplint::Field& fd) {
+    const std::vector<Token> t = tcmplint::lex(fd.type);
+    return fd.is_reference || t.back().is("*") ||
+           first_match(t, 0, t.size(), "std :: function") < t.size() ||
+           std::any_of(t.begin(), t.end(), [](const Token& k) {
+             return one_of(k, "CounterRef|ScalarRef|HistogramRef");
+           });
+  };
   for (const auto& c : model.classes) {
-    std::vector<const tcmplint::MethodBody*> bodies;
-    for (const auto* b : c.bodies_of("snapshot_io")) bodies.push_back(b);
+    std::vector<const tcmplint::MethodBody*> bodies =
+        c.bodies_of("snapshot_io");
     if (bodies.empty()) {
       const auto saves = c.bodies_of("save");
       const auto loads = c.bodies_of("load");
@@ -991,25 +934,11 @@ void check_snapshot_coverage(const fs::path& root) {
       bodies.insert(bodies.end(), saves.begin(), saves.end());
       bodies.insert(bodies.end(), loads.begin(), loads.end());
     }
-    for (const auto& fd : c.fields) {
-      if (fd.is_static || fd.is_reference) continue;
-      if (std::regex_search(fd.type, attachment_type)) continue;
-      const std::regex mention("\\b" + fd.name + "\\b");
-      bool mentioned = false;
-      for (const auto* b : bodies)
-        if (std::regex_search(b->body, mention)) mentioned = true;
-      if (mentioned) continue;
-      auto rit = raw_cache.find(fd.file);
-      if (rit == raw_cache.end())
-        rit = raw_cache.emplace(fd.file, raw_lines_of(fd.file)).first;
-      if (annotated_at(rit->second, fd.line, "snapshot-exempt")) continue;
-      report(bodies.front()->file, bodies.front()->line, "snapshot-coverage",
-             c.qual + "'s snapshot serializer does not mention member '" +
-                 fd.name + "' (" + fd.file + ":" + std::to_string(fd.line) +
-                 ") — serialize it, or annotate the member "
-                 "'tcmplint: snapshot-exempt' with the reason it is rebuilt "
-                 "on restore instead");
-    }
+    check_mentions(root, c, bodies, "snapshot-coverage", "snapshot-exempt",
+                   attachment, c.qual + "'s snapshot serializer",
+                   "serialize it, or annotate the member 'tcmplint: "
+                   "snapshot-exempt' with the reason it is rebuilt on "
+                   "restore instead");
   }
 }
 
@@ -1029,74 +958,44 @@ void check_ambient_nondet(const fs::path& root) {
       "src/common/env.hpp",   // the sanctioned getenv wrapper
       "src/sim/profiler.hpp", // wall-clock self-profiling (output-only)
   };
-  static const std::regex call(
-      R"(\b(?:std\s*::\s*)?(rand|srand|rand_r|getenv|time|gettimeofday|clock_gettime|timespec_get)\s*\()");
-  static const std::regex type_use(
-      R"(\b(random_device|mt19937|mt19937_64|minstd_rand0?|ranlux\w*|system_clock|high_resolution_clock)\b)");
-  for (const std::string ext : {".hpp", ".cpp"}) {
-    for (const auto& f : collect(root / "src", ext)) {
-      const std::string rel = fs::relative(f, root).generic_string();
-      if (std::find_if(std::begin(kAllowedFiles), std::end(kAllowedFiles),
-                       [&](const char* a) { return rel == a; }) !=
-          std::end(kAllowedFiles))
-        continue;
-      const std::string raw = read_file(f);
-      const auto raw_lines = split_lines(raw);
-      const auto code_lines = split_lines(tcmplint::strip_code(raw));
-      for (std::size_t i = 0; i < code_lines.size(); ++i) {
-        const long line = static_cast<long>(i + 1);
-        if (annotated_at(raw_lines, line, "allow-ambient")) continue;
-        std::smatch m;
-        std::string what;
-        if (std::regex_search(code_lines[i], m, call))
-          what = m[1].str() + "()";
-        else if (std::regex_search(code_lines[i], m, type_use))
-          what = m[1].str();
-        else
-          continue;
-        report(f, line, "ambient-nondeterminism",
-               "ambient entropy source '" + what +
-                   "' outside common/rng.hpp / common/env.hpp / the "
-                   "profiler — route randomness through the seeded "
-                   "tcmp::Rng and environment reads through common/env.hpp "
-                   "so runs stay bit-reproducible (or annotate "
-                   "'tcmplint: allow-ambient' with a reason)");
-      }
+  for (const Source* s : sources(root, "src", {".hpp", ".cpp"})) {
+    if (std::find(std::begin(kAllowedFiles), std::end(kAllowedFiles),
+                  s->rel) != std::end(kAllowedFiles))
+      continue;
+    const std::vector<Token>& t = s->toks;
+    for (long l = 1; l <= static_cast<long>(s->lines.size()); ++l) {
+      if (s->annotated(l, "allow-ambient")) continue;
+      const std::size_t b = s->line_begin(l), e = s->line_begin(l + 1);
+      std::string what;
+      if (const std::size_t k =
+              first_match(t, b, e,
+                   "rand|srand|rand_r|getenv|time|gettimeofday|"
+                   "clock_gettime|timespec_get (");
+          k < e)
+        what = std::string(t[k].text) + "()";
+      for (std::size_t k = b; k < e && what.empty(); ++k)
+        if (one_of(t[k], "random_device|mt19937|mt19937_64|minstd_rand|"
+                         "minstd_rand0|system_clock|high_resolution_clock") ||
+            t[k].text.starts_with("ranlux"))
+          what = t[k].text;
+      if (what.empty()) continue;
+      report(s->path, l, "ambient-nondeterminism",
+             "ambient entropy source '" + what +
+                 "' outside common/rng.hpp / common/env.hpp / the "
+                 "profiler — route randomness through the seeded "
+                 "tcmp::Rng and environment reads through common/env.hpp "
+                 "so runs stay bit-reproducible (or annotate "
+                 "'tcmplint: allow-ambient' with a reason)");
     }
   }
-}
-
-// ---- self-contained ------------------------------------------------------
-
-void check_self_contained(const fs::path& root, const std::string& cxx) {
-  const fs::path tmp = fs::temp_directory_path() / "tcmplint_sc.cpp";
-  for (const auto& h : collect(root / "src", ".hpp")) {
-    const std::string rel =
-        fs::relative(h, root / "src").generic_string();
-    {
-      std::ofstream out(tmp);
-      out << "#include \"" << rel << "\"\n";
-    }
-    const std::string cmd = cxx + " -std=c++20 -fsyntax-only -I \"" +
-                            (root / "src").string() + "\" \"" + tmp.string() +
-                            "\" 2>/dev/null";
-    if (std::system(cmd.c_str()) != 0) {
-      report(h, 0, "self-contained",
-             "header does not compile standalone (missing includes?); run: " +
-                 cxx + " -std=c++20 -fsyntax-only -I src /tmp/probe.cpp");
-    }
-  }
-  std::error_code ec;
-  fs::remove(tmp, ec);
 }
 
 // ---- pragma-once ---------------------------------------------------------
 
 void check_pragma_once(const fs::path& root) {
-  for (const auto& h : collect(root / "src", ".hpp")) {
-    if (read_file(h).find("#pragma once") == std::string::npos)
-      report(h, 1, "pragma-once", "header is missing #pragma once");
-  }
+  for (const Source* s : sources(root, "src", {".hpp"}))
+    if (s->raw.find("#pragma once") == std::string::npos)
+      report(s->path, 1, "pragma-once", "header is missing #pragma once");
 }
 
 // Single source of truth for the rule set: --list-rules prints exactly this
@@ -1105,41 +1004,25 @@ void check_pragma_once(const fs::path& root) {
 // (which cross-checks its coverage against this list).
 struct RuleEntry {
   const char* name;
-  void (*run)(const fs::path& root, const std::string& cxx);
+  void (*run)(const fs::path& root);
 };
 
 const RuleEntry kRules[] = {
-    {"raw-unit", [](const fs::path& r, const std::string&) { check_raw_unit(r); }},
-    {"msgtype-tables",
-     [](const fs::path& r, const std::string&) { check_msgtype_tables(r); }},
-    {"stat-registration",
-     [](const fs::path& r, const std::string&) { check_stat_registration(r); }},
-    {"stat-string-hot-path",
-     [](const fs::path& r, const std::string&) { check_stat_string_hot_path(r); }},
-    {"obs-emit-interned",
-     [](const fs::path& r, const std::string&) { check_obs_emit_interned(r); }},
-    {"scheduled-contract",
-     [](const fs::path& r, const std::string&) { check_scheduled_contract(r); }},
-    {"mutable-static",
-     [](const fs::path& r, const std::string&) { check_mutable_static(r); }},
-    {"guarded-field",
-     [](const fs::path& r, const std::string&) { check_guarded_field(r); }},
-    {"tile-escape",
-     [](const fs::path& r, const std::string&) { check_tile_escape(r); }},
-    {"nondet-iteration",
-     [](const fs::path& r, const std::string&) { check_nondet_iteration(r); }},
-    {"uninit-member",
-     [](const fs::path& r, const std::string&) { check_uninit_member(r); }},
-    {"reset-coverage",
-     [](const fs::path& r, const std::string&) { check_reset_coverage(r); }},
-    {"snapshot-coverage",
-     [](const fs::path& r, const std::string&) { check_snapshot_coverage(r); }},
-    {"ambient-nondeterminism",
-     [](const fs::path& r, const std::string&) { check_ambient_nondet(r); }},
-    {"pragma-once",
-     [](const fs::path& r, const std::string&) { check_pragma_once(r); }},
-    {"self-contained",
-     [](const fs::path& r, const std::string& cxx) { check_self_contained(r, cxx); }},
+    {"raw-unit", check_raw_unit},
+    {"msgtype-tables", check_msgtype_tables},
+    {"stat-registration", check_stat_registration},
+    {"stat-string-hot-path", check_stat_string_hot_path},
+    {"obs-emit-interned", check_obs_emit_interned},
+    {"scheduled-contract", check_scheduled_contract},
+    {"mutable-static", check_mutable_static},
+    {"guarded-field", check_guarded_field},
+    {"tile-escape", check_tile_escape},
+    {"nondet-iteration", check_nondet_iteration},
+    {"uninit-member", check_uninit_member},
+    {"reset-coverage", check_reset_coverage},
+    {"snapshot-coverage", check_snapshot_coverage},
+    {"ambient-nondeterminism", check_ambient_nondet},
+    {"pragma-once", check_pragma_once},
 };
 
 }  // namespace
@@ -1148,7 +1031,6 @@ int main(int argc, char** argv) {
   fs::path root = ".";
   std::string rule = "all";
   bool dump_model = false;
-  std::string cxx = std::getenv("CXX") ? std::getenv("CXX") : "c++";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -1162,8 +1044,6 @@ int main(int argc, char** argv) {
       root = next();
     } else if (arg == "--rule") {
       rule = next();
-    } else if (arg == "--cxx") {
-      cxx = next();
     } else if (arg == "--list-rules") {
       for (const RuleEntry& r : kRules) std::printf("%s\n", r.name);
       return 0;
@@ -1172,8 +1052,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: tcmplint --root <dir> [--rule <name>] "
-                   "[--cxx <compiler>] [--dump-model] | "
-                   "tcmplint --list-rules\n");
+                   "[--dump-model] | tcmplint --list-rules\n");
       return 2;
     }
   }
@@ -1204,7 +1083,7 @@ int main(int argc, char** argv) {
   bool known = rule == "all";
   for (const RuleEntry& r : kRules) {
     if (rule == "all" || rule == r.name) {
-      r.run(root, cxx);
+      r.run(root);
       known = true;
     }
   }

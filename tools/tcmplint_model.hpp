@@ -15,11 +15,12 @@
 //
 // The parser is deliberately *not* a C++ front end: it strips comments,
 // strings and preprocessor lines, then walks braces with a scope stack and
-// classifies each statement with anchored regexes. That is enough for this
-// codebase's style (one declarator per line, no macros generating members),
-// and every rule built on the model has an inline-annotation escape hatch
-// for the residue. It must stay dependency-free: tcmplint lints the library
-// and therefore cannot link against it.
+// classifies each statement by matching its tokens (`lex`, the same lexer
+// every tcmplint rule matches with). That is enough for this codebase's
+// style (one declarator per line, no macros generating members), and every
+// rule built on the model has an inline-annotation escape hatch for the
+// residue. It must stay dependency-free: tcmplint lints the library and
+// therefore cannot link against it.
 #pragma once
 
 #include <algorithm>
@@ -28,9 +29,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
-#include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -209,6 +210,96 @@ inline std::string strip_code(const std::string& text) {
   return out;
 }
 
+/// One token of strip_code's blanked text.
+struct Token {
+  std::string_view text;
+  long line = 1;        ///< 1-based
+  std::size_t pos = 0;  ///< offset into the lexed text
+
+  [[nodiscard]] bool is(std::string_view s) const { return text == s; }
+  [[nodiscard]] bool ident() const {
+    return std::isalpha(static_cast<unsigned char>(text[0])) != 0 ||
+           text[0] == '_';
+  }
+  [[nodiscard]] std::size_t end() const { return pos + text.size(); }
+};
+
+inline bool word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// Pass 1b: split blanked text into tokens — identifiers and numbers (runs
+/// of [A-Za-z0-9_]), `::` and `->`, a string literal as one `"` token (its
+/// contents are already blank), and every other non-space character on its
+/// own. The text must outlive the tokens, which view into it.
+inline std::vector<Token> lex(std::string_view code) {
+  std::vector<Token> out;
+  long line = 1;
+  bool in_string = false;
+  for (std::size_t i = 0, n = 1; i < code.size(); i += n, n = 1) {
+    const char c = code[i];
+    if (c == '\n') ++line;
+    if (c == '"') in_string = !in_string;
+    if (std::isspace(static_cast<unsigned char>(c)) != 0 ||
+        (c == '"' && !in_string))  // a closing quote
+      continue;
+    if (word_char(c)) {
+      while (i + n < code.size() && word_char(code[i + n])) ++n;
+    } else if (code.substr(i, 2) == "::" || code.substr(i, 2) == "->") {
+      n = 2;
+    }
+    out.push_back({code.substr(i, n), line, i});
+  }
+  return out;
+}
+
+inline bool at(const std::vector<Token>& t, std::size_t i,
+               std::string_view s) {
+  return i < t.size() && t[i].text == s;
+}
+
+/// Whether `t` is one of the '|'-separated `alts` ("$": any identifier).
+inline bool one_of(const Token& t, std::string_view alts) {
+  for (std::size_t a = 0; a <= alts.size();) {
+    const std::size_t z = std::min(alts.find('|', a), alts.size());
+    const std::string_view alt = alts.substr(a, z - a);
+    if (alt == "$" ? t.ident() : t.text == alt) return true;
+    a = z + 1;
+  }
+  return false;
+}
+
+/// Matches `pattern` at t[k...]: space-separated elements of one token each
+/// (see one_of), optional when they end in '?'. Returns the index past the
+/// match, or 0 when it does not match.
+inline std::size_t match(const std::vector<Token>& t, std::size_t k,
+                         std::string_view pattern) {
+  for (std::size_t b = 0; b < pattern.size();) {
+    const std::size_t e = std::min(pattern.find(' ', b), pattern.size());
+    std::string_view el = pattern.substr(b, e - b);
+    b = e + 1;
+    const bool optional = el.size() > 1 && el.back() == '?';
+    if (optional) el.remove_suffix(1);
+    if (k < t.size() && one_of(t[k], el))
+      ++k;
+    else if (!optional)
+      return 0;
+  }
+  return k;
+}
+
+/// Index past the `open`...`close` group (nesting counted) that starts at
+/// t[i]: i itself when t[i] is no `open`, t.size() when it never closes.
+inline std::size_t past(const std::vector<Token>& t, std::size_t i,
+                        std::string_view open, std::string_view close) {
+  if (!at(t, i, open)) return i;
+  for (long depth = 0; i < t.size(); ++i) {
+    depth += t[i].is(open) ? 1 : t[i].is(close) ? -1 : 0;
+    if (depth == 0) return i + 1;
+  }
+  return i;
+}
+
 namespace detail {
 
 inline std::string trim(const std::string& s) {
@@ -244,75 +335,169 @@ inline std::string dir_of(const std::string& file) {
   return slash == std::string::npos ? std::string() : tail.substr(0, slash);
 }
 
-/// Member names mentioned in a constructor mem-init list ": a_(0), b_{1}".
-/// Paren/brace depth tracking keeps nested calls (`a_(f(x, {1, 2}))`) from
-/// re-matching inner identifiers as init items.
 // True when `head` is a constructor-ish signature whose mem-init list is
 // still open, so a following '{' is a braced member initializer
 // (`: width_(w), count_{0}`) rather than the function body: the body's '{'
 // follows ')' or '}', never the bare member identifier.
 inline bool opens_init_brace(const std::string& head) {
-  const std::size_t open = head.find('(');
-  if (open == std::string::npos) return false;
+  const std::vector<Token> t = lex(head);
+  std::size_t k = 0;
+  while (k < t.size() && !t[k].is("(")) ++k;
+  // A top-level ':' after the parameter list opens an init list.
   long depth = 0;
-  std::size_t close = std::string::npos;
-  for (std::size_t i = open; i < head.size(); ++i) {
-    if (head[i] == '(') ++depth;
-    if (head[i] == ')' && --depth == 0) {
-      close = i;
-      break;
-    }
-  }
-  if (close == std::string::npos) return false;
-  // Top-level ':' (not '::') after the parameter list opens an init list.
-  std::size_t colon = std::string::npos;
-  long pd = 0;
-  for (std::size_t i = close + 1; i < head.size(); ++i) {
-    const char ch = head[i];
-    if (ch == '(' || ch == '{') ++pd;
-    if (ch == ')' || ch == '}') --pd;
-    if (pd == 0 && ch == ':' && (i + 1 >= head.size() || head[i + 1] != ':') &&
-        head[i - 1] != ':') {
-      colon = i;
-      break;
-    }
-  }
-  if (colon == std::string::npos) return false;
-  for (std::size_t i = head.size(); i-- > colon;) {
-    const unsigned char ch = static_cast<unsigned char>(head[i]);
-    if (std::isspace(ch)) continue;
-    return std::isalnum(ch) != 0 || ch == '_';
+  for (k = past(t, k, "(", ")"); k < t.size(); ++k) {
+    depth += one_of(t[k], "(|{") ? 1 : one_of(t[k], ")|}") ? -1 : 0;
+    if (depth == 0 && t[k].is(":")) return word_char(t.back().text.back());
   }
   return false;
 }
 
+/// Member names mentioned in a constructor mem-init list ": a_(0), b_{1}".
+/// Paren/brace depth tracking keeps nested calls (`a_(f(x, {1, 2}))`) from
+/// re-matching inner identifiers as init items.
 inline std::vector<std::string> parse_init_list(const std::string& list) {
   std::vector<std::string> out;
+  const std::vector<Token> t = lex(list);
   long depth = 0;
-  std::size_t i = 0;
-  while (i < list.size()) {
-    const char c = list[i];
-    if (c == '(' || c == '{') ++depth;
-    if (c == ')' || c == '}') --depth;
-    if (depth == 0 &&
-        (std::isalpha(static_cast<unsigned char>(c)) || c == '_')) {
-      std::size_t j = i;
-      while (j < list.size() &&
-             (std::isalnum(static_cast<unsigned char>(list[j])) ||
-              list[j] == '_'))
-        ++j;
-      std::size_t k = j;
-      while (k < list.size() &&
-             std::isspace(static_cast<unsigned char>(list[k])))
-        ++k;
-      if (k < list.size() && (list[k] == '(' || list[k] == '{'))
-        out.push_back(list.substr(i, j - i));
-      i = j;
-      continue;
-    }
-    ++i;
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (depth == 0 && match(t, k, "$ (|{") != 0) out.emplace_back(t[k].text);
+    depth += one_of(t[k], "(|{") ? 1 : one_of(t[k], ")|}") ? -1 : 0;
   }
   return out;
+}
+
+// ---- statement-head matchers (token patterns over a collapsed head) ------
+
+/// Drop leading `public:` / `private:` / `protected:` specifiers.
+inline std::string peel_access(std::string s) {
+  for (std::vector<Token> t = lex(s);
+       match(t, 0, "public|private|protected :") != 0; t = lex(s))
+    s = t.size() > 2 ? s.substr(t[2].pos) : std::string();
+  return s;
+}
+
+/// The first `[~]name(`: sets the name and the index of its '('.
+inline bool first_call(const std::vector<Token>& t, std::string& name,
+                       std::size_t& paren) {
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (match(t, k, "$ (") == 0) continue;
+    name = k > 0 && t[k - 1].is("~") ? "~" : "";
+    name += t[k].text;
+    paren = k + 1;
+    return true;
+  }
+  return false;
+}
+
+/// `[template <...>] class|struct [alignas(...)] [A::]Name [<...>] [final]
+/// [: bases]` spanning the whole head. Anchored so variable declarations
+/// ("struct Pending p") and enum heads cannot masquerade as classes. Sets
+/// the innermost name and the first base's (qualified) name.
+inline bool class_head(std::string_view h, std::string& name,
+                       std::string& base) {
+  const std::vector<Token> t = lex(h);
+  std::size_t i = match(t, at(t, 0, "template") ? past(t, 1, "<", ">") : 0,
+                        "class|struct");
+  if (i == 0) return false;
+  if (match(t, i, "alignas (") != 0)
+    while (i < t.size() && !t[i++].is(")")) {
+    }
+  for (i = match(t, i, "$"); i != 0 && match(t, i, ":: $") != 0;) i += 2;
+  if (i == 0) return false;
+  name = std::string(t[i - 1].text);
+  base.clear();
+  i = match(t, past(t, i, "<", ">"), "final?");
+  if (i == t.size()) return true;
+  if (!at(t, i, ":")) return false;
+  // The first base: `[virtual] [public|protected|private] A::B`.
+  const std::size_t b = match(t, i + 1, "virtual? public|protected|private?");
+  if (b == t.size() || !t[b].ident()) return true;
+  std::size_t e = b;
+  while (e + 1 < t.size() && t[e + 1].pos == t[e].end() &&
+         (t[e + 1].is("::") || word_char(t[e + 1].text[0])))
+    ++e;
+  base = std::string(h.substr(t[b].pos, t[e].end() - t[b].pos));
+  return true;
+}
+
+/// `enum [class|struct] Name [: underlying]` spanning the whole head.
+inline bool enum_head(std::string_view h, std::string& name) {
+  const std::vector<Token> t = lex(h);
+  const std::size_t i = match(t, 0, "enum class|struct? $");
+  if (i == 0 || (i < t.size() && !t[i].is(":"))) return false;
+  name = std::string(t[i - 1].text);
+  return true;
+}
+
+inline bool namespace_head(std::string_view h) {
+  return match(lex(h), 0, "inline? namespace") != 0;
+}
+
+/// The first `Cls[<...>]::[~]fn(`: an out-of-line member definition head.
+inline bool qualified_def(const std::vector<Token>& t, std::string& cls,
+                          std::string& fn, std::size_t& paren) {
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (!t[k].ident()) continue;
+    std::size_t j = k + 1;
+    if (at(t, j, "<")) {  // template arguments, not nested
+      while (++j < t.size() && !t[j].is(">") && !t[j].is("<")) {
+      }
+      if (!at(t, j++, ">")) continue;
+    }
+    const std::size_t e = match(t, j, ":: ~? $ (");
+    if (e == 0) continue;
+    cls = std::string(t[k].text);
+    fn = t[j + 1].is("~") ? "~" : "";
+    fn += t[e - 2].text;
+    paren = e - 1;
+    return true;
+  }
+  return false;
+}
+
+/// Remove thread-safety annotations (`TCMP_GUARDED_BY(mu)`) and attributes
+/// (`[[nodiscard]]`): they sit between the name and the initializer.
+inline std::string strip_annotations(const std::string& s) {
+  const std::vector<Token> t = lex(s);
+  std::string out;
+  std::size_t copied = 0;
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    std::size_t end = k;  // one past the annotation's last token
+    if (t[k].text.size() > 5 && t[k].text.starts_with("TCMP_"))
+      end = past(t, k + 1, "(", ")");
+    else if (match(t, k, "[ [") != 0)
+      end = past(t, k, "[", "]");
+    if (end <= k + 1 || !one_of(t[end - 1], ")|]")) continue;
+    out += s.substr(copied, t[k].pos - copied);
+    copied = t[end - 1].end();
+    k = end - 1;
+  }
+  return out + s.substr(copied);
+}
+
+/// A data member `TYPE NAME [array] [: bits] [= init | {init}]`: the name
+/// is the first identifier after a space, '&', '*' or '>' that the rest of
+/// the statement fits.
+inline bool member_decl(const std::string& body, std::string& type,
+                        std::string& name, bool& has_init) {
+  const std::vector<Token> t = lex(body);
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    if (!t[k].ident() || t[k].pos < 2 ||
+        std::string_view(" &*>").find(body[t[k].pos - 1]) ==
+            std::string_view::npos)
+      continue;
+    std::size_t j = past(t, k + 1, "[", "]");
+    if (at(t, j, ":") && j + 1 < t.size() &&
+        t[j + 1].text.find_first_not_of("0123456789") == std::string::npos)
+      j += 2;
+    has_init = j < t.size();
+    if (has_init && !t[j].is("=") && !(t[j].is("{") && body.back() == '}'))
+      continue;
+    type = trim(body.substr(0, t[k].pos));
+    name = std::string(t[k].text);
+    return true;
+  }
+  return false;
 }
 
 struct Scope {
@@ -348,25 +533,11 @@ inline Model build_model(
   std::vector<detail::OutOfLineBody> pending;
   std::vector<detail::OutOfLineCtor> pending_ctors;
 
-  // Head regexes, anchored so variable declarations ("struct Pending p")
-  // and enum heads ("enum class DirState") cannot masquerade as classes.
-  static const std::regex class_head(
-      R"(^(?:template\s*<.*>\s*)?(class|struct)\s+(?:alignas\s*\([^)]*\)\s*)?)"
-      R"(((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*(?:<[^;{]*>)?\s*)"
-      R"((final\s*)?(?::\s*(.*))?$)");
-  static const std::regex enum_head(
-      R"(^enum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)\s*(?::[^{]*)?$)");
-  static const std::regex ns_head(R"(^(inline\s+)?namespace\b)");
-  static const std::regex qualified_def(
-      R"(([A-Za-z_]\w*(?:\s*<[^<>]*>)?)\s*::\s*(~?[A-Za-z_]\w*)\s*\()");
-  static const std::regex first_base(R"(^(?:virtual\s+)?(?:public\s+|protected\s+|private\s+)?([A-Za-z_][\w:]*))");
-
   for (const auto& [file, raw] : sources) {
     const std::string text = strip_code(raw);
     const std::string dir = detail::dir_of(file);
     std::vector<Scope> stack;
     std::string head;           // statement text since last ; { }
-    std::size_t head_begin = 0; // offset where `head` started
     long line = 1;
     long head_line = 1;
     long init_brace = 0;  // depth of braced member initializers in an open
@@ -393,37 +564,23 @@ inline Model build_model(
                                  bool brace_init) {
       ClassInfo* cls = top_class();
       if (cls == nullptr) return;
-      stmt = detail::collapse_ws(detail::trim(stmt));
-      // Peel leading access specifiers swallowed into the statement head.
-      static const std::regex access(R"(^(public|private|protected)\s*:\s*)");
-      std::smatch am;
-      while (std::regex_search(stmt, am, access)) stmt = am.suffix().str();
-      if (stmt.empty()) return;
-      static const std::regex skip(
-          R"(^(using\b|typedef\b|friend\b|static_assert\b|template\b|operator\b))");
-      if (std::regex_search(stmt, skip)) return;
-      bool is_static = false;
-      static const std::regex static_kw(R"(^(inline\s+)?static\s+)");
-      std::smatch sm;
-      if (std::regex_search(stmt, sm, static_kw)) {
-        is_static = true;
-        stmt = sm.suffix().str();
-      }
-      // Thread-safety annotations and attributes sit between the name and
-      // the initializer; remove them before shape analysis.
-      stmt = std::regex_replace(stmt, std::regex(R"(TCMP_\w+\s*\([^()]*\))"),
-                                "");
-      stmt = std::regex_replace(stmt, std::regex(R"(\[\[[^\]]*\]\])"), "");
-      stmt = detail::trim(stmt);
+      stmt = detail::peel_access(detail::collapse_ws(detail::trim(stmt)));
+      std::vector<Token> t = lex(stmt);
+      if (t.empty()) return;
+      if (one_of(t[0], "using|typedef|friend|static_assert|template|operator"))
+        return;
+      const std::size_t after_static = match(t, 0, "inline? static");
+      const bool is_static = after_static != 0 && after_static < t.size();
+      if (is_static) stmt = stmt.substr(t[after_static].pos);
+      stmt = detail::trim(detail::strip_annotations(stmt));
       if (stmt.empty()) return;
 
       if (stmt.find('(') != std::string::npos && !brace_init) {
         // Method / constructor declaration (members use `=` or `{}` init
         // only, so any paren at class scope is function-shaped).
-        static const std::regex fn_name(R"((~?[A-Za-z_]\w*)\s*\()");
-        std::smatch fm;
-        if (!std::regex_search(stmt, fm, fn_name)) return;
-        const std::string name = fm[1].str();
+        std::string name;
+        std::size_t paren = 0;
+        if (!detail::first_call(lex(stmt), name, paren)) return;
         if (name == cls->name) {
           // Only `= default` / `= delete` are constructors in their own
           // right here: a plain declaration's mem-init list lives with its
@@ -443,18 +600,13 @@ inline Model build_model(
         }
         return;
       }
-      // Data member: TYPE NAME [array] [bitfield] [= init]?
-      static const std::regex member(
-          R"(^(.+?[\s&*>])([A-Za-z_]\w*)\s*(\[[^\]]*\])?\s*(:\s*\d+\s*)?(=.*|\{.*\})?$)");
-      std::smatch mm;
       std::string body = stmt;
       if (!body.empty() && body.back() == ';') body.pop_back();
       body = detail::trim(body);
-      if (!std::regex_match(body, mm, member)) return;
       Field f;
-      f.type = detail::trim(mm[1].str());
-      f.name = mm[2].str();
-      f.has_init = brace_init || mm[5].matched;
+      bool init = false;
+      if (!detail::member_decl(body, f.type, f.name, init)) return;
+      f.has_init = brace_init || init;
       f.is_static = is_static;
       f.is_reference = f.type.find('&') != std::string::npos;
       f.file = file;
@@ -480,43 +632,30 @@ inline Model build_model(
           head += c;
           continue;
         }
-        std::string h = detail::collapse_ws(detail::trim(head));
-        head.clear();
         // Access specifiers end in ':' (not ';'), so they accumulate into
         // the next statement's head — peel them before classifying.
-        static const std::regex access_prefix(
-            R"(^(public|private|protected)\s*:\s*)");
-        std::smatch pm;
-        while (std::regex_search(h, pm, access_prefix)) h = pm.suffix().str();
-        std::smatch m;
+        const std::string h =
+            detail::peel_access(detail::collapse_ws(detail::trim(head)));
+        head.clear();
         Scope s;
         s.kind = Scope::Kind::kBlock;
         const bool at_class = top_class() != nullptr;
-        if (!in_capture && std::regex_match(h, m, class_head)) {
+        std::string name, base;
+        if (!in_capture && detail::class_head(h, name, base)) {
           ClassInfo ci;
-          ci.name = m[2].str();
-          // Qualified heads (`struct std::hash<...>`) keep the last
-          // component as the class name.
-          if (const std::size_t sep = ci.name.rfind("::");
-              sep != std::string::npos)
-            ci.name = detail::trim(ci.name.substr(sep + 2));
+          ci.name = name;
           ci.qual = qual_prefix() + ci.name;
+          ci.base = base;
           ci.dir = dir;
           ci.file = file;
           ci.line = head_line;
-          if (m[4].matched) {
-            std::smatch bm;
-            const std::string bases = m[4].str();
-            if (std::regex_search(bases, bm, first_base))
-              ci.base = bm[1].str();
-          }
           model.classes.push_back(std::move(ci));
           s.kind = Scope::Kind::kClass;
           s.class_index = static_cast<long>(model.classes.size()) - 1;
-        } else if (!in_capture && std::regex_match(h, m, enum_head)) {
-          model.enum_types.insert(m[1].str());
+        } else if (!in_capture && detail::enum_head(h, name)) {
+          model.enum_types.insert(name);
           s.kind = Scope::Kind::kEnum;
-        } else if (!in_capture && std::regex_search(h, ns_head)) {
+        } else if (!in_capture && detail::namespace_head(h)) {
           s.kind = Scope::Kind::kNamespace;
         } else if (!in_capture && at_class && h.find('(') == std::string::npos &&
                    !h.empty()) {
@@ -528,25 +667,10 @@ inline Model build_model(
           // method, or free function. Record the body for the first two.
           std::string cls_name, fn_name;
           std::size_t params_open = std::string::npos;
-          std::smatch qm;
-          if (std::regex_search(h, qm, qualified_def)) {
-            cls_name = qm[1].str();
-            const std::size_t lt = cls_name.find('<');
-            if (lt != std::string::npos)
-              cls_name = detail::trim(cls_name.substr(0, lt));
-            fn_name = qm[2].str();
-            params_open = static_cast<std::size_t>(qm.position(0)) +
-                          qm[0].str().size() - 1;
-          } else if (at_class) {
-            static const std::regex fn(R"((~?[A-Za-z_]\w*)\s*\()");
-            std::smatch fm;
-            if (std::regex_search(h, fm, fn)) {
-              cls_name = "";  // attach to enclosing class
-              fn_name = fm[1].str();
-              params_open = static_cast<std::size_t>(fm.position(0)) +
-                            fm[0].str().size() - 1;
-            }
-          }
+          const std::vector<Token> ht = lex(h);
+          if (!detail::qualified_def(ht, cls_name, fn_name, params_open) &&
+              at_class)
+            detail::first_call(ht, fn_name, params_open);  // enclosing class
           if (!fn_name.empty()) {
             s.capture_body = true;
             s.body_begin = i + 1;
@@ -561,33 +685,13 @@ inline Model build_model(
               Ctor ct;
               ct.file = file;
               ct.line = head_line;
-              // Balance parens from the parameter list's '(' to find ITS
-              // ')' — rfind would land on the last init item's paren.
-              std::size_t close = std::string::npos;
-              if (params_open != std::string::npos) {
-                long pd = 0;
-                for (std::size_t k = params_open; k < h.size(); ++k) {
-                  if (h[k] == '(') ++pd;
-                  if (h[k] == ')' && --pd == 0) {
-                    close = k;
-                    break;
-                  }
-                }
-              }
-              std::size_t colon = std::string::npos;
-              if (close != std::string::npos) {
-                // First top-level ':' after the parameter list (skip '::').
-                for (std::size_t k = close + 1; k < h.size(); ++k) {
-                  if (h[k] == ':' &&
-                      (k + 1 >= h.size() || h[k + 1] != ':') &&
-                      (k == 0 || h[k - 1] != ':')) {
-                    colon = k;
-                    break;
-                  }
-                }
-              }
-              if (colon != std::string::npos) {
-                ct.inits = detail::parse_init_list(h.substr(colon + 1));
+              // The mem-init list follows the first ':' after the parameter
+              // list, whose ')' is balanced from its '(' — the last ')' of
+              // the head would be the last init item's.
+              std::size_t colon = past(ht, params_open, "(", ")");
+              while (colon < ht.size() && !ht[colon].is(":")) ++colon;
+              if (colon < ht.size()) {
+                ct.inits = detail::parse_init_list(h.substr(ht[colon].pos + 1));
                 ct.delegating = ct.inits.size() == 1 && ct.inits[0] == owner;
               }
               if (!cls_name.empty()) {
@@ -602,7 +706,6 @@ inline Model build_model(
           }
         }
         stack.push_back(s);
-        head_begin = i + 1;
         head_line = line;
         continue;
       }
@@ -629,7 +732,6 @@ inline Model build_model(
           }
         }
         head.clear();
-        head_begin = i + 1;
         head_line = line;
         continue;
       }
@@ -639,7 +741,6 @@ inline Model build_model(
         if (at_class)
           parse_member_stmt(head, head_line, /*brace_init=*/false);
         head.clear();
-        head_begin = i + 1;
         head_line = line;
         continue;
       }
@@ -652,8 +753,7 @@ inline Model build_model(
         const std::string h = detail::collapse_ws(detail::trim(head));
         if (h == "public" || h == "private" || h == "protected") {
           head.clear();
-          head_begin = i + 1;
-          head_line = line;
+            head_line = line;
           continue;
         }
       }
@@ -665,7 +765,6 @@ inline Model build_model(
         head_line = line;
       }
       head += c;
-      (void)head_begin;
     }
   }
 

@@ -262,15 +262,6 @@ expect_clean pragma-once
 echo "struct SeededNoGuard {};" > "$scratch/tree/src/common/seeded_guard.hpp"
 expect_catch pragma-once
 
-# --- self-contained: a header using std::vector without including it.
-fresh_tree
-expect_clean self-contained
-cat > "$scratch/tree/src/common/seeded_self_contained.hpp" <<'EOF'
-#pragma once
-inline std::vector<int> seeded_not_self_contained() { return {}; }
-EOF
-expect_catch self-contained
-
 # --- completeness: every rule tcmplint advertises must have been exercised
 # above — a rule added to the linter without a seeded violation fails here.
 while IFS= read -r rule; do
