@@ -46,7 +46,6 @@ struct CmpConfig {
 
   units::Hertz freq = units::hertz(4e9);
   double link_length_mm = 5.0;  // tcmplint: allow-raw-unit (paper config units)
-  Cycle local_latency{1};           ///< tile-internal L1 <-> L2 hop
   Cycle warmup_memory_latency{40};  ///< memory latency during cache warmup
   double switching_activity = 0.5;   ///< alpha for link dynamic energy
 

@@ -66,7 +66,7 @@ void write_self_profile(std::ostream& out, const sim::SelfProfiler& prof,
   }
   out << "],\"kernel_scan\":[";
   first = true;
-  for (const auto& s : system.kernel().scan_stats()) {
+  for (const auto& s : system.scan_stats()) {
     if (!first) out << ",";
     first = false;
     out << "{\"name\":" << quoted(s.name) << ",\"polls\":" << s.polls

@@ -2,12 +2,11 @@
 //
 // One snapshot_io walk serializes the complete simulation-visible state in a
 // fixed order: driver clock and warmup boundary, barrier controller, every
-// tile's components, the network, the per-partition wake calendars and stat
-// shards, and finally the workload's cursors. Partition shards are saved
-// per-shard (not merged) so a restored K-thread run reproduces the exact FP
-// accumulation order of the uninterrupted one — which is why restore
-// requires the same --threads K, enforced via the fingerprint and the
-// n_parts_ verify.
+// tile's components, the network, the per-partition stat shards, and finally
+// the workload's cursors. Partition shards are saved per-shard (not merged)
+// so a restored K-thread run reproduces the exact FP accumulation order of
+// the uninterrupted one — which is why restore requires the same
+// --threads K, enforced via the fingerprint and the n_parts_ verify.
 //
 // Deliberately NOT captured (host-side / re-attachable state): observers and
 // their sampling cadence, periodic checks, the self-profiler, the flight
@@ -71,9 +70,6 @@ void CmpSystem::snapshot_io(Ar& ar) {
   }
 
   ar.field(*network_);
-
-  ar.section("kernels");
-  for (auto& part : parts_) ar.field(part->kernel);
 
   // Stat shards, per partition: interned refs survive because
   // StatRegistry::load assigns in place.

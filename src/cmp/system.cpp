@@ -4,6 +4,9 @@
 #include <atomic>
 #include <ostream>
 #include <thread>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/abort.hpp"
 #include "common/check.hpp"
@@ -16,11 +19,31 @@ namespace tcmp::cmp {
 
 using protocol::CoherenceMsg;
 
+namespace {
+
+/// Keep freed heap memory in the process for the next system. Sweeps build
+/// systems back to back, one alive at a time, and a system's directory
+/// arrays alone take 1 MiB per tile. glibc's default policy hands the top of
+/// the heap back to the kernel once it passes a threshold it derives from
+/// past allocations, so each new system would fault all of that memory in
+/// again. Fixed thresholds (the cap of glibc's own dynamic mmap threshold,
+/// and 128 MiB of free heap top) keep it for reuse. Process-wide; set once.
+void retain_freed_heap() {
+#ifdef __GLIBC__
+  static const bool kSet = mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&
+                           mallopt(M_TRIM_THRESHOLD, 128 << 20) == 1;
+  static_cast<void>(kSet);
+#endif
+}
+
+}  // namespace
+
 CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workload)
     : cfg_(cfg),
       plan_(cfg.mesh_width, cfg.mesh_height, cfg.threads),
       workload_(std::move(workload)),
       flight_(cfg.n_tiles) {
+  retain_freed_heap();
   TCMP_CHECK(workload_ != nullptr);
   TCMP_CHECK(cfg_.n_tiles == cfg_.mesh_width * cfg_.mesh_height);
   TCMP_CHECK(cfg_.threads >= 1);
@@ -125,38 +148,6 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
         msg, now_, [this, node](const CoherenceMsg& m) { deliver_local(node, m); });
   });
 
-  // Register every component with its partition's event kernel.
-  // Registration order is the next_wake() scan order: cores first (any
-  // runnable core makes the next cycle live and early-exits the scan), then
-  // the network, then the directories (pipeline deadlines), then the
-  // driver-level recurring events (telemetry sampling, periodic checks;
-  // partition 0), then the purely message-driven components (never wake
-  // sources; registered for the quiescence contract).
-  auto obs_next = [this] { return obs_sample_due_; };
-  obs_event_ = std::make_unique<sim::ScheduledEvent<decltype(obs_next)>>(obs_next);
-  auto check_next = [this] { return check_due_; };
-  check_event_ =
-      std::make_unique<sim::ScheduledEvent<decltype(check_next)>>(check_next);
-  for (unsigned p = 0; p < n_parts_; ++p) {
-    sim::SimKernel& k = parts_[p]->kernel;
-    const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
-    for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->core.get(), "core");
-    auto net_next = [this, p] { return network_->next_event_partition(p); };
-    parts_[p]->net_event =
-        std::make_unique<sim::ScheduledEvent<decltype(net_next)>>(net_next);
-    k.add_component(parts_[p]->net_event.get(), "network");
-    for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->dir.get(), "dir");
-    if (p == 0) {
-      k.add_component(obs_event_.get(), "obs.sampler");
-      k.add_component(check_event_.get(), "periodic.check");
-    }
-    for (unsigned t = lo; t < hi; ++t) {
-      k.add_component(tiles_[t]->l1.get(), "l1");
-      k.add_component(tiles_[t]->l1i.get(), "l1i");
-      k.add_component(tiles_[t]->nic.get(), "nic");
-    }
-  }
-
   if (workload_->has_warmup()) {
     // Functional warmup: fill caches quickly, then measure the steady
     // parallel phase at the real memory latency.
@@ -212,13 +203,10 @@ void CmpSystem::write_self_profile(std::ostream& out) const {
     return;
   }
   prof_->write_table(out);
-  // Kernel pull-scan attribution: how often next_wake polled each component
-  // class and how often that class terminated the scan early (the hot exit).
-  const auto scan = parts_[0]->kernel.scan_stats();
   std::uint64_t total_polls = 0;
-  for (const auto& s : scan) total_polls += s.polls;
+  for (const ScanStat& s : scan_stats_) total_polls += s.polls;
   out << "kernel pull-scan (" << total_polls << " polls):\n";
-  for (const auto& s : scan) {
+  for (const ScanStat& s : scan_stats_) {
     out << "  " << s.name << ": polls=" << s.polls
         << " hot_exits=" << s.hot_exits << "\n";
   }
@@ -272,14 +260,11 @@ void CmpSystem::route_outgoing(NodeId tile, CoherenceMsg msg) {
   }
   if (msg.dst == tile) {
     // Tile-internal hop (e.g. the local L2 slice is the home): no mesh
-    // traversal, no compression, a fixed short latency. The loopback queue
-    // is not a kernel component, so mark its deadline live explicitly (the
-    // pop phase runs before the sinks, so a deadline at or before now_ is
-    // popped next cycle — exactly what the per-cycle loop did).
+    // traversal, no compression, a fixed short latency. The queue head is a
+    // wake source of partition_next_wake.
     msg.wire_class = static_cast<std::uint8_t>(network_->num_channels());
     flight_.record(obs::FlightEventKind::kSendLocal, tile, msg, now_);
-    tiles_[tile]->loopback.push(now_ + cfg_.local_latency, msg);
-    P.kernel.wake(std::max(now_ + cfg_.local_latency, now_ + 1));
+    tiles_[tile]->loopback.push(now_ + kLoopbackLatency, msg);
     ++P.local_count;
     return;
   }
@@ -472,12 +457,47 @@ bool CmpSystem::partition_finished(unsigned p) const {
 bool CmpSystem::partition_quiescent(unsigned p) const {
   for (const auto& tile : tiles_of(p)) {
     if (!tile->l1->quiescent() || !tile->l1i->quiescent() ||
-        !tile->dir->quiescent() || !tile->loopback.empty()) {
+        !tile->dir->quiescent() || !tile->nic->quiescent() ||
+        !tile->loopback.empty()) {
       return false;
     }
   }
   return network_->quiescent_partition(p);
 }
+
+template <bool kProfiled>
+Cycle CmpSystem::partition_next_wake(unsigned p) {
+  // Scan order puts the likeliest hot sources first. The L1s, I-caches and
+  // NICs act only on a delivery, which lands on a cycle one of these
+  // sources already keeps live, so they are never wake sources.
+  const Cycle next_cycle = now_ + 1;
+  Cycle nxt = kNeverCycle;
+  const auto hot = [&](ScanSource src, Cycle at) {
+    if constexpr (kProfiled) ++scan_stats_[src].polls;
+    if (at <= next_cycle) {
+      if constexpr (kProfiled) ++scan_stats_[src].hot_exits;
+      return true;
+    }
+    nxt = std::min(nxt, at);
+    return false;
+  };
+  const auto tiles = tiles_of(p);
+  for (const auto& tile : tiles) {
+    if (hot(kScanCore, tile->core->next_event())) return next_cycle;
+  }
+  if (hot(kScanNetwork, network_->next_event_partition(p))) return next_cycle;
+  for (const auto& tile : tiles) {
+    if (hot(kScanDir, tile->dir->next_event())) return next_cycle;
+  }
+  for (const auto& tile : tiles) {
+    if (hot(kScanLoopback, tile->loopback.next_ready())) return next_cycle;
+  }
+  if (p == 0 && (hot(kScanSampler, obs_sample_due_) || hot(kScanCheck, check_due_))) {
+    return next_cycle;
+  }
+  return nxt;
+}
+template Cycle CmpSystem::partition_next_wake<false>(unsigned);
 
 template <bool kProfiled>
 void CmpSystem::serial_prologue() {
@@ -532,7 +552,7 @@ void CmpSystem::parallel_phase(unsigned p) {
   if constexpr (kProfiled) prof_->lap(sc_drain_);
   // The next wake only feeds the dead-cycle skip.
   if (!dead_cycle_skipping_) return;
-  P.next_wake = P.kernel.next_wake<kProfiled>(now_);
+  P.next_wake = partition_next_wake<kProfiled>(p);
   if constexpr (kProfiled) prof_->lap(sc_scan_);
 }
 
@@ -622,7 +642,7 @@ Cycle CmpSystem::serial_epilogue() {
   const Cycle boundary_next = network_->exchange_boundaries();
   if (action) {
     // Barrier releases / re-ticks may have produced new work anywhere; the
-    // partitions' cached wake calendars are stale. Run the next cycle live.
+    // partitions' next wakes are stale. Run the next cycle live.
     epilogue_finished_ = finished();
     return now_ + 1;
   }
@@ -669,14 +689,16 @@ bool CmpSystem::run_partitioned(Cycle max_cycles) {
       completed = true;
       break;
     }
-    if (!dead_cycle_skipping_ || nxt <= now_ + 1) continue;
+    if (!dead_cycle_skipping_) continue;
     // Every cycle in (now_, nxt) is globally dead — every partition's next
     // wake and the boundary-channel deadlines (exchange_boundaries folded
     // them into nxt) agree: jump to just before the next live cycle.
     // kNeverCycle (deadlock: nothing will ever act again) clamps to the
     // horizon, replicating the seed's spin to max_cycles — including its
-    // blocked-core accounting.
-    advance_idle(std::min(Cycle{nxt.value() - 1}, max_cycles));
+    // blocked-core accounting. At the horizon there is nothing to skip.
+    const Cycle target = std::min(Cycle{nxt.value() - 1}, max_cycles);
+    if (target <= now_) continue;
+    advance_idle(target);
     if constexpr (kProfiled) prof_->lap(sc_idle_);
   }
   if (threaded) {

@@ -4,22 +4,23 @@
 // parameter sweeps still run one CmpSystem per configuration
 // (bench/bench_util.hpp provides the sweep driver).
 //
-// Timing is event-scheduled (sim/kernel.hpp): every component implements the
-// Scheduled contract, and run() jumps the clock across globally dead cycles
-// instead of ticking an idle machine. Each *live* cycle still executes the
-// full classic step in the classic order, so results are bit-identical to
-// the plain per-cycle loop (docs/kernel.md).
+// run() skips globally dead cycles instead of ticking an idle machine: after
+// each live cycle every partition reads its next wake straight from the
+// components it ticks (partition_next_wake: runnable cores, the network,
+// directory pipelines, loopback heads, and the sampler/check cadences).
+// Each *live* cycle still executes the full classic step in the classic
+// order, so results are bit-identical to the plain per-cycle loop
+// (docs/kernel.md).
 //
 // There is one driver, the cycle lockstep of docs/partitioning.md. The tile
 // array is split into K = CmpConfig::threads contiguous row-block partitions
-// (sim/partition.hpp), each with its own SimKernel wake calendar and
-// StatRegistry shard, run on min(K, host cores) threads; K = 1 is one
-// partition on the calling thread, with no worker threads and no barrier
-// waits. Cross-partition interaction is message-only: NoC flits/credits
-// ride boundary channels swapped once per cycle under the >= 1-cycle link
-// synchronization horizon, barrier arrivals are recorded as events and
-// replayed serially in tile order, and at K > 1 the slack beneficiary probe
-// reads a double-buffered stall snapshot.
+// (sim/partition.hpp), each with its own StatRegistry shard, run on
+// min(K, host cores) threads; K = 1 is one partition on the calling thread,
+// with no worker threads and no barrier waits. Cross-partition interaction
+// is message-only: NoC flits/credits ride boundary channels swapped once per
+// cycle under the >= 1-cycle link synchronization horizon, barrier arrivals
+// are recorded as events and replayed serially in tile order, and at K > 1
+// the slack beneficiary probe reads a double-buffered stall snapshot.
 // Simulation results are deterministic and independent of K — byte-identical
 // to the seed's reports at K = 1, equal counter maps at any K
 // (docs/partitioning.md; the one documented exception is slack
@@ -46,7 +47,6 @@
 #include "protocol/directory.hpp"
 #include "protocol/icache.hpp"
 #include "protocol/l1_cache.hpp"
-#include "sim/kernel.hpp"
 #include "sim/partition.hpp"
 
 namespace tcmp::obs {
@@ -69,7 +69,7 @@ class CmpSystem {
 
   /// Run until every core finished and the machine drained, or `max_cycles`
   /// elapsed. Returns true when the workload completed. Skips globally dead
-  /// cycles via the event kernel (see set_dead_cycle_skipping).
+  /// cycles (see set_dead_cycle_skipping and partition_next_wake).
   bool run(Cycle max_cycles = Cycle{500'000'000});
 
   /// Single simulation step (tests). Always advances exactly one cycle.
@@ -81,10 +81,15 @@ class CmpSystem {
   void set_dead_cycle_skipping(bool on) { dead_cycle_skipping_ = on; }
   [[nodiscard]] bool dead_cycle_skipping() const { return dead_cycle_skipping_; }
 
-  /// The event kernel (tests: wake-calendar and next-wake behavior): partition
-  /// 0's kernel; each partition owns its own.
-  [[nodiscard]] sim::SimKernel& kernel() { return parts_[0]->kernel; }
-  [[nodiscard]] const sim::SimKernel& kernel() const { return parts_[0]->kernel; }
+  /// Earliest cycle after now at which partition p has work: now + 1 as soon
+  /// as one of its cores is runnable, else the minimum over the network's
+  /// share, each directory's pipeline head, each loopback head and, on
+  /// partition 0, the time-series sampler and periodic-check cadences
+  /// (kNeverCycle: nothing will ever act without outside input). Any source
+  /// at or before now + 1 ends the scan. kProfiled counts the per-source
+  /// polls and hot exits of scan_stats() (same result).
+  template <bool kProfiled = false>
+  [[nodiscard]] Cycle partition_next_wake(unsigned p);
   /// Partitions the tile array is split into.
   [[nodiscard]] unsigned num_partitions() const { return n_parts_; }
 
@@ -181,7 +186,16 @@ class CmpSystem {
   /// instrumentation). Results are bit-identical either way.
   void set_profiler(sim::SelfProfiler* prof);
   [[nodiscard]] sim::SelfProfiler* profiler() const { return prof_; }
-  /// Profiler table plus the kernel's per-component pull-scan attribution.
+  /// Pull-scan attribution of the profiled run, one row per wake source of
+  /// partition_next_wake: how often it was polled, and how often it ended
+  /// the scan by wanting the very next cycle (the hot exit).
+  struct ScanStat {
+    const char* name = nullptr;
+    std::uint64_t polls = 0;
+    std::uint64_t hot_exits = 0;
+  };
+  [[nodiscard]] std::span<const ScanStat> scan_stats() const { return scan_stats_; }
+  /// Profiler table plus the pull-scan attribution.
   void write_self_profile(std::ostream& out) const;
 
   /// The always-on flight recorder: a bounded ring of recent
@@ -204,7 +218,7 @@ class CmpSystem {
   // --- Checkpoint/restore (docs/checkpointing.md) --------------------------
   // A checkpoint is taken between cycles and captures every bit of
   // simulation-visible state: cores, caches, directories, NIC compressor /
-  // sequence state, routers, wake calendars, stat shards, RNGs, barrier
+  // sequence state, routers, loopbacks, stat shards, RNGs, barrier
   // controller, and the workload's cursors (the workload must report
   // can_snapshot()). A restored run continues byte-identically to the
   // uninterrupted one at the same --threads K; the fingerprint refuses a
@@ -230,10 +244,12 @@ class CmpSystem {
     std::unique_ptr<core::Core> core;
     std::unique_ptr<het::TileNic> nic;
     /// Tile-internal messages (L1 <-> local L2 slice) bypass the mesh.
-    /// FIFO pipe: pushed with the constant local latency at non-decreasing
-    /// now_, so deadlines are monotone.
+    /// FIFO pipe: pushed with kLoopbackLatency at non-decreasing now_, so
+    /// deadlines are monotone and the head is the tile's next loopback wake.
     protocol::FifoDelayQueue<protocol::CoherenceMsg> loopback;
   };
+  /// The tile-internal L1 <-> L2 hop.
+  static constexpr Cycle kLoopbackLatency{1};
 
   /// A core's barrier arrival or done transition observed during the
   /// parallel phase; replayed serially in tile order.
@@ -247,7 +263,6 @@ class CmpSystem {
   /// Partition 0's shard aliases stats_, so at K = 1 the single partition
   /// owns the single registry.
   struct Partition {
-    sim::SimKernel kernel;
     std::unique_ptr<StatRegistry> owned_shard;  ///< null for partition 0
     StatRegistry* shard = nullptr;              ///< == &stats_ for partition 0
     /// Interned per-shard handles for the driver-level message counters
@@ -256,8 +271,6 @@ class CmpSystem {
     CounterRef local_count;
     CounterRef remote_count;
     CounterRef remote_bytes;
-    /// Adapter exposing Network::next_event_partition to the kernel.
-    std::unique_ptr<sim::Scheduled> net_event;
     /// Barrier arrivals / done transitions recorded (tile-ordered) during
     /// the parallel phase, replayed serially (replay_barrier_events).
     std::vector<BarrierEvent> events;
@@ -319,7 +332,8 @@ class CmpSystem {
   /// Every core of partition p done and its memory system, loopbacks and
   /// network share quiescent.
   [[nodiscard]] bool partition_finished(unsigned p) const;
-  /// Partition p's memory system, loopbacks and network share hold no work.
+  /// Partition p's memory system, NICs, loopbacks and network share hold no
+  /// work.
   [[nodiscard]] bool partition_quiescent(unsigned p) const;
   /// The cores' barrier handler: records the arrival for replay, or applies
   /// it directly while replaying.
@@ -357,15 +371,12 @@ class CmpSystem {
   /// Hoisted per-cycle conditions: the next cycle at which the time-series
   /// sampler / the periodic check may fire (kNeverCycle when detached).
   /// step() compares against these instead of re-testing obs_ != nullptr and
-  /// now_ % check_interval_ every cycle; both are also kernel wake sources.
+  /// now_ % check_interval_ every cycle; both are also partition 0's wake
+  /// sources.
   // tcmplint: snapshot-exempt (re-derived by attach_observer after restore)
   Cycle obs_sample_due_{kNeverCycle};
   // tcmplint: snapshot-exempt (re-anchored by load_checkpoint)
   Cycle check_due_{kNeverCycle};
-  // tcmplint: snapshot-exempt (kernel wake registration; attach re-creates)
-  std::unique_ptr<sim::Scheduled> obs_event_;
-  // tcmplint: snapshot-exempt (kernel wake registration; attach re-creates)
-  std::unique_ptr<sim::Scheduled> check_event_;
   // tcmplint: snapshot-exempt (runtime attachment; set_periodic_check)
   Cycle check_interval_{0};
   // tcmplint: snapshot-exempt (runtime attachment; set_periodic_check)
@@ -393,6 +404,13 @@ class CmpSystem {
   unsigned sc_obs_ = 0, sc_net_ = 0, sc_loopback_ = 0, sc_dirs_ = 0,
            sc_cores_ = 0, sc_barrier_ = 0, sc_check_ = 0, sc_drain_ = 0,
            sc_scan_ = 0, sc_idle_ = 0;
+  /// partition_next_wake's wake sources, in scan order (scan_stats rows).
+  enum ScanSource : unsigned { kScanCore, kScanNetwork, kScanDir, kScanLoopback,
+                               kScanSampler, kScanCheck, kNumScanSources };
+  // tcmplint: snapshot-exempt (host-side self-profiling, not machine state)
+  std::array<ScanStat, kNumScanSources> scan_stats_{
+      {{"core"}, {"network"}, {"dir"}, {"loopback"}, {"obs.sampler"},
+       {"periodic.check"}}};
   std::unique_ptr<noc::Network> network_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   Cycle now_{0};

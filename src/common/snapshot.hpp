@@ -50,10 +50,10 @@
 
 namespace tcmp {
 
-/// Bumped when the stream layout changes incompatibly. Readers reject any
-/// version above their own; older-version migration is added only when an
-/// actual layout change lands (none yet — see docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Bumped when the stream layout changes incompatibly. Readers accept only
+/// their own version: there is no migration from older layouts (v1 carried
+/// a wake-calendar section v2 dropped; see docs/checkpointing.md).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 namespace snapshot_detail {
 
@@ -351,7 +351,7 @@ inline void read_snapshot_header(SnapshotReader& r,
                             std::begin(snapshot_detail::kMagic)),
                  "not a tcmp snapshot (bad magic)");
   const std::uint64_t version = r.raw_u64();
-  TCMP_CHECK_MSG(version >= 1 && version <= kSnapshotFormatVersion,
+  TCMP_CHECK_MSG(version == kSnapshotFormatVersion,
                  "snapshot format version not supported by this build");
   std::string fingerprint;
   r.field(fingerprint);

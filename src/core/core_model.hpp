@@ -18,7 +18,6 @@
 #include "core/workload.hpp"
 #include "protocol/icache.hpp"
 #include "protocol/l1_cache.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::core {
 
@@ -39,7 +38,7 @@ struct StallSnapshot {
   }
 };
 
-class Core final : public sim::Scheduled {
+class Core final {
  public:
   struct Config {
     unsigned issue_width = 2;
@@ -128,14 +127,16 @@ class Core final : public sim::Scheduled {
   /// all re-enter detailed mode consistent with the stream position.
   void warm_advance_istream(std::uint64_t n);
 
-  /// Scheduled contract: a runnable core issues every cycle; a blocked or
-  /// finished one does nothing until an external fill / barrier release
-  /// arrives (which can only land on a cycle another component keeps live).
-  /// A drained (fence-parked) core is likewise event-free until unfenced.
-  [[nodiscard]] Cycle next_event() const override {
-    return runnable() && !drained() ? sim::kEveryCycle : kNeverCycle;
+  /// Wake contract (docs/kernel.md): a runnable core issues every cycle, so
+  /// it reports Cycle{0}, which the driver's wake scan reads as the very
+  /// next cycle; a blocked or finished one does nothing until an external
+  /// fill / barrier release arrives (which can only land on a cycle another
+  /// wake source keeps live). A drained (fence-parked) core is likewise
+  /// event-free until unfenced.
+  [[nodiscard]] Cycle next_event() const {
+    return runnable() && !drained() ? Cycle{0} : kNeverCycle;
   }
-  [[nodiscard]] bool quiescent() const override { return done_; }
+  [[nodiscard]] bool quiescent() const { return done_; }
 
   /// Bulk equivalent of ticking a blocked core `n` times: accrues the same
   /// blocked-cycle accounting the per-cycle loop would have, so dead-cycle

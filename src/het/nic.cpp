@@ -64,6 +64,7 @@ void TileNic::receive(CoherenceMsg msg, Cycle now, const DeliverFn& deliver) {
     // compressor state updates apply in send order.
     TCMP_CHECK_MSG(msg.seq > cs.next_recv_seq[src], "duplicate sequence number");
     cs.reorder[src].insert(cs.next_recv_seq[src], msg.seq, msg);
+    ++parked_;
     ++reordered_;
     if (obs_ != nullptr) [[unlikely]] {
       obs_->nic_reorder_hold(msg);
@@ -74,6 +75,7 @@ void TileNic::receive(CoherenceMsg msg, Cycle now, const DeliverFn& deliver) {
   // Drain any consecutive buffered successors.
   auto& window = cs.reorder[src];
   while (auto next = window.take(cs.next_recv_seq[src])) {
+    --parked_;
     decode_and_release(cs, src, *next, deliver);
   }
 }

@@ -48,7 +48,8 @@ class BoundaryChannel {
   /// flits to the consumer and apply the credits right away. Returns the
   /// earliest flit deadline now sitting on the ready side (kNeverCycle when
   /// none) — the consumer partition's contribution to the global next-wake,
-  /// since its own calendar cannot know about events it has not drained yet.
+  /// since its own next wake cannot know about events it has not drained
+  /// yet.
   ///
   /// Credits are applied here, not double-buffered: both partitions are
   /// parked at the barrier, so the serial write into the upstream router's

@@ -30,7 +30,6 @@
 #include "noc/channel.hpp"
 #include "noc/router.hpp"
 #include "sim/partition.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::obs {
 class Observer;
@@ -60,7 +59,7 @@ struct NocConfig {
   [[nodiscard]] unsigned nodes() const { return width * height; }
 };
 
-class Network final : public sim::Scheduled {
+class Network final {
  public:
   using DeliverFn = std::function<void(NodeId, const protocol::CoherenceMsg&)>;
 
@@ -107,7 +106,8 @@ class Network final : public sim::Scheduled {
   void tick_partition(unsigned p, Cycle now);
   /// Serial epilogue (between the cycle's barriers): publish every pending
   /// boundary event; returns the earliest published deadline (kNeverCycle
-  /// when nothing crossed) — a wake bound no partition calendar knows about.
+  /// when nothing crossed) — a wake bound no partition's next wake knows
+  /// about.
   Cycle exchange_boundaries() {
     Cycle nxt = kNeverCycle;
     for (auto& ch : boundaries_) nxt = std::min(nxt, ch->exchange());
@@ -123,17 +123,17 @@ class Network final : public sim::Scheduled {
   [[nodiscard]] unsigned num_partitions() const { return plan_.num_partitions(); }
 
   /// Every partition quiescent (boundary channels aside).
-  [[nodiscard]] bool quiescent() const override;
+  [[nodiscard]] bool quiescent() const;
   /// Work-set invariant (tests): every router outside its partition's
   /// active set is idle and every injection lane outside the busy set is
   /// empty.
   [[nodiscard]] bool work_sets_cover_work() const;
-  /// Scheduled contract of a single-partition network: next cycle while any
-  /// router buffers flits or any injection lane has a packet (both may act
-  /// every cycle), otherwise the earliest in-flight link arrival across every
+  /// Next event of a single-partition network: next cycle while any router
+  /// buffers flits or any injection lane has a packet (both may act every
+  /// cycle), otherwise the earliest in-flight link arrival across every
   /// plane. Only the work sets are visited: an idle router or lane has no
   /// event.
-  [[nodiscard]] Cycle next_event() const override {
+  [[nodiscard]] Cycle next_event() const {
     TCMP_DCHECK(num_partitions() == 1);
     return next_event_partition(0);
   }

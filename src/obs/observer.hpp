@@ -26,7 +26,6 @@
 #include "obs/hooks.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::obs {
 
@@ -40,7 +39,7 @@ struct ObsConfig {
   std::string timeseries_path;  ///< written by finalize_to_files; empty = skip
 };
 
-class Observer final : public ProtocolHooks, public sim::Scheduled {
+class Observer final : public ProtocolHooks {
  public:
   Observer(const ObsConfig& cfg, const StatRegistry* stats);
   /// Unregisters the flush-on-abort hook installed for the configured
@@ -53,29 +52,17 @@ class Observer final : public ProtocolHooks, public sim::Scheduled {
   [[nodiscard]] Cycle now() const { return clock_ != nullptr ? *clock_ : now_; }
 
   /// Share the driver's cycle counter so hooks stay correctly timestamped
-  /// without a per-cycle tick() call (an event-scheduled driver only calls
-  /// sample_tick() at window boundaries). Null reverts to the internal clock.
+  /// without a per-cycle call (the driver only calls sample_tick() at
+  /// window boundaries). Null reverts to the internal clock.
   void set_clock(const Cycle* clock) { clock_ = clock; }
 
-  /// Per-cycle driver hook (bare-Network drivers): advances the internal
-  /// clock and samples the time series at window boundaries.
-  void tick(Cycle now) {
-    now_ = now;
-    ts_.maybe_sample(now);
-  }
-
-  /// Event-scheduled driver hook: called only when a sample may be due (the
-  /// driver tracks the boundary via next_event() / TimeSeries::next_boundary).
+  /// Driver hook: called only when a sample may be due (the driver tracks
+  /// the boundary via TimeSeries::next_boundary, a wake source of its
+  /// dead-cycle skip).
   void sample_tick(Cycle now) {
     now_ = now;
     ts_.maybe_sample(now);
   }
-
-  /// Scheduled contract: wake at time-series window boundaries (tick()
-  /// samples at every level, so the boundary is a wake source even at kOff);
-  /// the observer never holds up drain.
-  [[nodiscard]] Cycle next_event() const override { return ts_.next_boundary(); }
-  [[nodiscard]] bool quiescent() const override { return true; }
 
   /// Name the per-tile trace tracks (called once when attached to a system).
   void label_tiles(unsigned n_tiles);

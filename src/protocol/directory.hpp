@@ -33,7 +33,6 @@
 #include "protocol/delay_queue.hpp"
 #include "protocol/l1_cache.hpp"
 #include "protocol/sharer_mask.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::protocol {
 
@@ -60,7 +59,7 @@ enum class DirState : std::uint8_t {
   kBusyRecall, ///< eviction in progress, waiting InvAcks / owner response
 };
 
-class Directory final : public sim::Scheduled {
+class Directory final {
  public:
   struct Config {
     unsigned sets = 1024;      ///< 256 KB slice, 4-way, 64 B lines
@@ -83,9 +82,9 @@ class Directory final : public sim::Scheduled {
   void tick(Cycle now);
 
   /// Earliest cycle at which tick() has work to do (for idle fast-forward).
-  [[nodiscard]] Cycle next_event() const override;
+  [[nodiscard]] Cycle next_event() const;
 
-  [[nodiscard]] bool quiescent() const override;
+  [[nodiscard]] bool quiescent() const;
   [[nodiscard]] NodeId id() const { return id_; }
 
   /// Functional warmup support: fills already queued keep their latency.

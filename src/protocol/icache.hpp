@@ -18,11 +18,10 @@
 #include "common/types.hpp"
 #include "protocol/cache_array.hpp"
 #include "protocol/coherence_msg.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::protocol {
 
-class ICache final : public sim::Scheduled {
+class ICache final {
  public:
   struct Config {
     unsigned sets = 128;  ///< 32 KB, 4-way
@@ -50,9 +49,7 @@ class ICache final : public sim::Scheduled {
   /// Network-side delivery (only kData replies to our GetInstr).
   void deliver(const CoherenceMsg& msg);
 
-  [[nodiscard]] bool quiescent() const override { return !miss_outstanding_; }
-  /// Purely message-driven: no tick, so never a wake source by itself.
-  [[nodiscard]] Cycle next_event() const override { return kNeverCycle; }
+  [[nodiscard]] bool quiescent() const { return !miss_outstanding_; }
 
   /// Checkpoint serialization (common/snapshot.hpp).
   template <typename Ar>

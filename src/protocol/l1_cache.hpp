@@ -30,7 +30,6 @@
 #include "obs/hooks.hpp"
 #include "protocol/cache_array.hpp"
 #include "protocol/coherence_msg.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::protocol {
 
@@ -47,7 +46,7 @@ enum class AccessResult : std::uint8_t {
            ///< the fill callback
 };
 
-class L1Cache final : public sim::Scheduled {
+class L1Cache final {
  public:
   struct Config {
     unsigned sets = 128;  ///< 32 KB, 4-way, 64 B lines
@@ -76,11 +75,9 @@ class L1Cache final : public sim::Scheduled {
   void deliver(const CoherenceMsg& msg);
 
   /// True when no MSHR / eviction-buffer entries are outstanding.
-  [[nodiscard]] bool quiescent() const override {
+  [[nodiscard]] bool quiescent() const {
     return mshrs_.empty() && evict_buf_.empty() && deferred_.empty();
   }
-  /// Purely message-driven: no tick, so never a wake source by itself.
-  [[nodiscard]] Cycle next_event() const override { return kNeverCycle; }
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] NodeId home_of(LineAddr line) const {

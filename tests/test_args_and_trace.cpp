@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -153,6 +154,26 @@ TEST(TcmpsimCli, SlackReportRunsWithoutObserver) {
   EXPECT_EQ(status, 0) << out;
   EXPECT_NE(out.find("slack [cycles]"), std::string::npos) << out;
   EXPECT_NE(out.find("blocking.VL"), std::string::npos) << out;
+}
+
+TEST(TcmpsimCli, ReplayRunsTextTraces) {
+  // --replay tells a text trace from a binary .tct by its magic; there is
+  // no separate text-trace option.
+  const std::string path = ::testing::TempDir() + "tcmp_cli_text_trace.txt";
+  {
+    workloads::AppParams params = workloads::app("FFT").scaled(0.02);
+    params.warmup_frac = 0.0;
+    workloads::SyntheticApp app(params, 16);
+    std::ofstream file(path);
+    workloads::write_trace(file, app, 16, 200);
+  }
+  const auto [status, out] = run_tcmpsim("--replay " + path + " --config baseline");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("cycles"), std::string::npos) << out;
+  const auto [unknown, msg] = run_tcmpsim("--trace " + path + " --config baseline");
+  EXPECT_EQ(unknown, 2) << msg;
+  EXPECT_NE(msg.find("unknown option --trace"), std::string::npos) << msg;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -192,7 +192,19 @@ TEST(TileNic, ReorderingIsResolvedInSequenceOrder) {
   h.nics[3]->send(request(3, 12, 0x555000), h.now);      // install: B plane
   h.nics[3]->send(request(3, 12, 0x555001), h.now);      // delta: VL plane
   h.nics[3]->send(request(3, 12, 0x555002), h.now);
-  h.run_until_quiescent();
+  // One cycle at a time: while a delta that overtook the install is parked
+  // in the reorder window, the receiving NIC holds work, and the install it
+  // waits for is still in the network.
+  unsigned parked_cycles = 0;
+  while (!h.net->quiescent()) {
+    h.net->tick(++h.now);
+    if (h.nics[12]->quiescent()) continue;
+    ++parked_cycles;
+    EXPECT_TRUE(h.delivered.empty());
+    EXPECT_FALSE(h.net->quiescent());
+  }
+  EXPECT_GT(parked_cycles, 0u);
+  EXPECT_TRUE(h.nics[12]->quiescent());
   ASSERT_EQ(h.delivered.size(), 3u);
   // Reordering happened (VL overtook B) but decode applied in seq order.
   EXPECT_GE(h.stats.counter_value("het.reordered_messages"), 1u);

@@ -1,148 +1,14 @@
-// Event-scheduled kernel tests: wake-calendar ordering/coalescing and lazy
-// stale drain, next_wake clamping and hot-component early exit, the
-// ScheduledEvent adapter, and system-level guarantees — a sleepy core's next
-// wake is exactly its fill deadline, and dead-cycle skipping is bit-identical
-// to the per-cycle loop.
+// Dead-cycle skip tests: a sleepy core's next wake is exactly its fill
+// deadline, and dead-cycle skipping is bit-identical to the per-cycle loop.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "cmp/system.hpp"
-#include "sim/kernel.hpp"
-#include "sim/scheduled.hpp"
 #include "workloads/synthetic_app.hpp"
 
 namespace tcmp::sim {
 namespace {
-
-/// Mock component with a settable next event; counts next_event() calls so
-/// tests can observe the kernel's scan early-exit.
-class MockScheduled final : public Scheduled {
- public:
-  explicit MockScheduled(Cycle next, bool quiet = true)
-      : next_(next), quiet_(quiet) {}
-  [[nodiscard]] Cycle next_event() const override {
-    ++calls_;
-    return next_;
-  }
-  [[nodiscard]] bool quiescent() const override { return quiet_; }
-  void set_next(Cycle next) { next_ = next; }
-  void set_quiescent(bool q) { quiet_ = q; }
-  [[nodiscard]] unsigned calls() const { return calls_; }
-
- private:
-  Cycle next_;
-  bool quiet_;
-  mutable unsigned calls_ = 0;
-};
-
-TEST(SimKernel, EmptyKernelIsDeadAndQuiescent) {
-  SimKernel kernel;
-  EXPECT_EQ(kernel.next_wake(Cycle{0}), kNeverCycle);
-  EXPECT_TRUE(kernel.quiescent());
-}
-
-TEST(SimKernel, CalendarReturnsWakesInOrder) {
-  SimKernel kernel;
-  kernel.wake(Cycle{20});
-  kernel.wake(Cycle{5});
-  kernel.wake(Cycle{10});
-  EXPECT_EQ(kernel.next_wake(Cycle{0}), Cycle{5});
-  EXPECT_EQ(kernel.next_wake(Cycle{5}), Cycle{10});
-  EXPECT_EQ(kernel.next_wake(Cycle{10}), Cycle{20});
-  EXPECT_EQ(kernel.next_wake(Cycle{20}), kNeverCycle);
-}
-
-TEST(SimKernel, CalendarDrainsStaleEntriesLazily) {
-  SimKernel kernel;
-  kernel.wake(Cycle{3});
-  kernel.wake(Cycle{4});
-  kernel.wake(Cycle{50});
-  EXPECT_EQ(kernel.calendar_size(), 3u);
-  // Entries at or before `now` are already satisfied: dropped on query.
-  EXPECT_EQ(kernel.next_wake(Cycle{10}), Cycle{50});
-  EXPECT_EQ(kernel.calendar_size(), 1u);
-}
-
-TEST(SimKernel, CalendarCoalescesDuplicateTop) {
-  SimKernel kernel;
-  kernel.wake(Cycle{7});
-  kernel.wake(Cycle{7});
-  kernel.wake(Cycle{7});
-  EXPECT_EQ(kernel.calendar_size(), 1u);
-  // A different top defeats the cheap coalescing — both entries stay, and
-  // both resolve correctly.
-  kernel.wake(Cycle{5});
-  kernel.wake(Cycle{7});
-  EXPECT_EQ(kernel.calendar_size(), 3u);
-  EXPECT_EQ(kernel.next_wake(Cycle{0}), Cycle{5});
-  EXPECT_EQ(kernel.next_wake(Cycle{6}), Cycle{7});
-}
-
-TEST(SimKernel, ClampsPastComponentEventsToNextCycle) {
-  SimKernel kernel;
-  MockScheduled hot(kEveryCycle);
-  kernel.add_component(&hot);
-  EXPECT_EQ(kernel.next_wake(Cycle{100}), Cycle{101});
-  hot.set_next(Cycle{50});  // stale (<= now): still means "act now"
-  EXPECT_EQ(kernel.next_wake(Cycle{100}), Cycle{101});
-  hot.set_next(Cycle{101});  // exactly next cycle
-  EXPECT_EQ(kernel.next_wake(Cycle{100}), Cycle{101});
-}
-
-TEST(SimKernel, TakesMinOverComponentsAndCalendar) {
-  SimKernel kernel;
-  MockScheduled a(Cycle{40});
-  MockScheduled b(Cycle{30});
-  kernel.add_component(&a);
-  kernel.add_component(&b);
-  EXPECT_EQ(kernel.next_wake(Cycle{10}), Cycle{30});
-  kernel.wake(Cycle{25});
-  EXPECT_EQ(kernel.next_wake(Cycle{10}), Cycle{25});
-  b.set_next(kNeverCycle);
-  EXPECT_EQ(kernel.next_wake(Cycle{26}), Cycle{40});
-}
-
-TEST(SimKernel, HotComponentShortCircuitsTheScan) {
-  SimKernel kernel;
-  MockScheduled first(kEveryCycle);
-  MockScheduled second(Cycle{500});
-  kernel.add_component(&first);
-  kernel.add_component(&second);
-  EXPECT_EQ(kernel.next_wake(Cycle{0}), Cycle{1});
-  EXPECT_EQ(first.calls(), 1u);
-  EXPECT_EQ(second.calls(), 0u);  // registration order = scan priority
-  // An imminent calendar wake short-circuits even the first component.
-  kernel.wake(Cycle{2});
-  EXPECT_EQ(kernel.next_wake(Cycle{1}), Cycle{2});
-  EXPECT_EQ(first.calls(), 1u);
-}
-
-TEST(SimKernel, QuiescentNeedsAllComponentsQuietAndEmptyCalendar) {
-  SimKernel kernel;
-  MockScheduled quiet(kNeverCycle, /*quiet=*/true);
-  MockScheduled busy(kNeverCycle, /*quiet=*/false);
-  kernel.add_component(&quiet);
-  EXPECT_TRUE(kernel.quiescent());
-  kernel.wake(Cycle{5});
-  EXPECT_FALSE(kernel.quiescent());  // outstanding wake = in-flight work
-  EXPECT_EQ(kernel.next_wake(Cycle{5}), kNeverCycle);
-  EXPECT_TRUE(kernel.quiescent());  // drained lazily by the query
-  kernel.add_component(&busy);
-  EXPECT_FALSE(kernel.quiescent());
-}
-
-TEST(SimKernel, ScheduledEventAdapterForwardsToFunction) {
-  Cycle due{123};
-  auto next = [&due] { return due; };
-  ScheduledEvent<decltype(next)> event(next);
-  SimKernel kernel;
-  kernel.add_component(&event);
-  EXPECT_EQ(kernel.next_wake(Cycle{0}), Cycle{123});
-  due = Cycle{456};
-  EXPECT_EQ(kernel.next_wake(Cycle{200}), Cycle{456});
-  EXPECT_TRUE(event.quiescent());
-}
 
 /// Core 0 issues one remote load then finishes; every other core is done
 /// from the start. The cleanest possible "sleepy core" machine: after the
@@ -163,13 +29,15 @@ class SingleLoadWorkload final : public core::Workload {
 TEST(EventKernelSystem, SleepyCoreWakesExactlyAtFillDeadline) {
   cmp::CmpSystem system(cmp::CmpConfig::baseline(),
                         std::make_shared<SingleLoadWorkload>());
+  // A runnable core makes the very next cycle live.
+  EXPECT_EQ(system.partition_next_wake(0), Cycle{1});
   // Step until the machine goes deeply dead: core 0 blocked on a miss whose
   // home directory is waiting on the 400-cycle memory pipe. (Shorter dead
   // gaps — link flights, the L2 access pipe — come first; skip past those.)
   Cycle nxt{0};
   for (unsigned i = 0; i < 1000; ++i) {
     system.step();
-    nxt = system.kernel().next_wake(system.total_cycles());
+    nxt = system.partition_next_wake(0);
     if (nxt > system.total_cycles() + 100) break;
   }
   ASSERT_GT(nxt, system.total_cycles() + 100) << "machine never went dead";

@@ -135,6 +135,18 @@ TEST(SnapshotArchiveDeathTest, GuardsCatchDriftAndMismatch) {
   }
 }
 
+TEST(SnapshotArchiveDeathTest, RefusesVersionOneStreams) {
+  // Version 1 carried a wake-calendar section that version 2 dropped;
+  // reading it as version 2 would misparse every field after the network.
+  std::stringstream buf;
+  SnapshotWriter w(buf);
+  w.raw_bytes(snapshot_detail::kMagic, sizeof snapshot_detail::kMagic);
+  w.raw_u64(1);
+  w.field(std::string("x"));
+  SnapshotReader r(buf);
+  EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
+}
+
 // ---- full-system checkpoint/restore --------------------------------------
 
 struct FinalReport {

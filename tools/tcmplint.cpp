@@ -33,12 +33,13 @@
 //                     API exists to avoid. Escape hatch:
 //                     `tcmplint: allow-string-emit`.
 //   scheduled-contract a header under src/ declaring a per-cycle `tick(Cycle)`
-//                     entry point must also declare the sim::Scheduled
-//                     contract (`next_event(` and `quiescent(`) — otherwise
-//                     the event kernel cannot see the component's work and
-//                     dead-cycle skipping would silently drop its ticks.
-//                     Escape hatch: `tcmplint: allow-unscheduled-tick` (for
-//                     components ticked outside CmpSystem's kernel loop).
+//                     entry point must also declare the wake contract
+//                     (`next_event(` and `quiescent(`) — otherwise
+//                     CmpSystem::partition_next_wake cannot read the
+//                     component's work and dead-cycle skipping would
+//                     silently drop its ticks. Escape hatch:
+//                     `tcmplint: allow-unscheduled-tick` (for components
+//                     ticked outside CmpSystem's cycle loop).
 //   mutable-static    no non-const static-duration locals / class statics in
 //                     src/: a mutable static is shared state every sweep
 //                     worker thread can reach, invisible to the per-tile
@@ -57,8 +58,8 @@
 //                     (L1Cache, ICache, Directory, Core, TileNic) must not
 //                     escape outside the sanctioned seams: a type's own
 //                     translation unit, the same-tile collaborator edges
-//                     (core/ -> L1Cache/ICache), SimKernel registration
-//                     (`add_component(`), and constructor wiring. This is
+//                     (core/ -> L1Cache/ICache), and constructor wiring.
+//                     This is
 //                     the invariant the partitioned driver
 //                     (docs/partitioning.md) depends on: cross-tile
 //                     interaction flows through the NIC/message seam, never
@@ -455,8 +456,8 @@ void check_obs_emit_interned(const fs::path& root) {
 
 void check_scheduled_contract(const fs::path& root) {
   // A component with a per-cycle tick(Cycle) that does not expose
-  // next_event()/quiescent() is invisible to SimKernel: dead-cycle skipping
-  // would jump over cycles where it had work. Only the bare `tick(Cycle`
+  // next_event()/quiescent() is invisible to CmpSystem::partition_next_wake:
+  // dead-cycle skipping would jump over cycles where it had work. Only the bare `tick(Cycle`
   // entry point implies kernel-driven stepping; sample_tick and friends are
   // other tokens.
   for (const Source* s : sources(root, "src", {".hpp"})) {
@@ -469,10 +470,12 @@ void check_scheduled_contract(const fs::path& root) {
          first_match(t, 0, t.size(), "quiescent (") < t.size()))
       continue;
     report(s->path, t[tick].line, "scheduled-contract",
-           "declares tick(Cycle) but not the sim::Scheduled contract "
-           "(next_event() + quiescent()); the event kernel would skip this "
-           "component's work — implement both (see docs/kernel.md) or "
-           "annotate 'tcmplint: allow-unscheduled-tick' with a reason");
+           "declares tick(Cycle) but not the wake contract (next_event() + "
+           "quiescent()); the dead-cycle skip would miss this component's "
+           "work — implement both and read them in "
+           "CmpSystem::partition_next_wake and partition_quiescent (see "
+           "docs/kernel.md), or annotate 'tcmplint: allow-unscheduled-tick' "
+           "with a reason");
   }
 }
 
@@ -527,15 +530,14 @@ void check_tile_escape(const fs::path& root) {
   // a tile's components (L1, L1I, directory slice, core, NIC) are owned by
   // that tile, and nothing outside the sanctioned seams may hold a raw
   // pointer/reference into them — cross-tile interaction flows through the
-  // NIC/message seam or the SimKernel registration path, both of which are
-  // partition boundaries. Two per-line matches:
+  // NIC/message seam, a partition boundary. Two per-line matches:
   //   (a) declarations of `TileType*` / `TileType&` anywhere in src/;
   //   (b) bindings that materialize a component handle from the tile table
   //       (`= *tiles_[..]->comp`, `x = t->comp.get()` captures).
   // Allowed without annotation: the type's own translation unit, the
-  // documented same-tile collaborator edges (core/ -> L1Cache/ICache),
-  // `add_component(` registration lines, and constructor wiring (the
-  // nearest qualified `X::X(` line above is a constructor head).
+  // documented same-tile collaborator edges (core/ -> L1Cache/ICache), and
+  // constructor wiring (the nearest qualified `X::X(` line above is a
+  // constructor head).
   // Everything else must carry `tcmplint: tile-seam (reason)` — the
   // annotated sites are the complete inventory of places the partitioned
   // driver had to turn into messages (it has: see docs/partitioning.md),
@@ -597,9 +599,7 @@ void check_tile_escape(const fs::path& root) {
         continue;
       }
       const std::size_t b = s->line_begin(l), e = s->line_begin(l + 1);
-      if (s->has(l - 1, "tile-seam") ||
-          first_match(t, b, e, "add_component (") < e)
-        continue;
+      if (s->has(l - 1, "tile-seam")) continue;
       std::string what;
       if (const std::size_t k = first_match(
               t, b, e, "L1Cache|ICache|Directory|Core|TileNic const? *|&");
@@ -627,7 +627,7 @@ void check_tile_escape(const fs::path& root) {
       report(s->path, l, "tile-escape",
              what +
                  " escapes the tile-ownership seams (NIC/message path, "
-                 "SimKernel registration, constructor wiring) — route the "
+                 "constructor wiring) — route the "
                  "interaction through a message, or annotate "
                  "'tcmplint: tile-seam' with the partition-boundary "
                  "reason (docs/static-analysis.md)");

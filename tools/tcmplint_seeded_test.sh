@@ -108,8 +108,8 @@ void seeded_emit_site(StatRegistry& stats) {
 EOF
 expect_catch obs-emit-interned
 
-# --- scheduled-contract: a ticked component that hides from the event
-# kernel (no next_event/quiescent, no allow-comment).
+# --- scheduled-contract: a ticked component that hides from the
+# dead-cycle skip (no next_event/quiescent, no allow-comment).
 fresh_tree
 expect_clean scheduled-contract
 cat > "$scratch/tree/src/common/seeded_unscheduled.hpp" <<'EOF'

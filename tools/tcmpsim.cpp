@@ -3,11 +3,10 @@
 //
 //   tcmpsim --app MP3D --config het --scheme dbrc --entries 4 --low 2
 //   tcmpsim --app all --config baseline --format csv
-//   tcmpsim --trace mytrace.txt --config cheng
+//   tcmpsim --replay mytrace.txt --config cheng
 //
 // Options:
 //   --app NAME|all        application model (Table 4 names), default MP3D
-//   --trace FILE          run a trace file instead of an application model
 //   --config KIND         baseline | het | cheng        (default het)
 //   --scheme KIND         dbrc | stride | perfect | none (default dbrc)
 //   --entries N           DBRC entries (4/16/64, default 4)
@@ -25,9 +24,9 @@
 //   --record FILE         capture the workload's op stream to a compact
 //                         binary trace (.tct) as the run consumes it
 //                         (requires --threads 1)
-//   --replay FILE         run a recorded trace; binary .tct files are
-//                         detected by magic, anything else is parsed as the
-//                         text trace format (--trace is the text-only alias)
+//   --replay FILE         run a trace instead of an application model;
+//                         binary .tct files are detected by magic, anything
+//                         else is parsed as the text trace format
 //   --checkpoint-out FILE with --checkpoint-at N: run to cycle N, write a
 //                         snapshot, then continue to completion
 //   --checkpoint-at N     cycle at which --checkpoint-out snapshots
@@ -90,7 +89,6 @@ namespace {
 
 struct Options {
   std::string app = "MP3D";
-  std::string trace;
   std::string config = "het";
   std::string scheme = "dbrc";
   unsigned entries = 4;
@@ -246,7 +244,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::set<std::string> known{
-      "app",   "trace", "config",             "scheme",             "entries",
+      "app",   "config",             "scheme",             "entries",
       "low",   "vl",    "tiles",  "threads",  "scale",              "format",
       "help",  "reply-partitioning",          "three-stage-router",
       "trace-out", "timeseries-out", "obs-level", "sample-interval",
@@ -265,7 +263,6 @@ int main(int argc, char** argv) {
 
   Options o;
   o.app = args.get("app", o.app);
-  o.trace = args.get("trace", o.trace);
   o.config = args.get("config", o.config);
   o.scheme = args.get("scheme", o.scheme);
   o.entries = static_cast<unsigned>(args.get_long("entries", o.entries));
@@ -320,10 +317,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--record requires --threads 1\n");
     return 2;
   }
-  if (!o.trace.empty() && !o.replay.empty()) {
-    std::fprintf(stderr, "--trace and --replay are mutually exclusive\n");
-    return 2;
-  }
   if (!o.checkpoint_out.empty() && o.checkpoint_at <= 0) {
     std::fprintf(stderr, "--checkpoint-out requires --checkpoint-at N (> 0)\n");
     return 2;
@@ -359,8 +352,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> apps;
   if (!o.replay.empty()) {
     apps.push_back(o.replay);
-  } else if (!o.trace.empty()) {
-    apps.push_back(o.trace);
   } else if (o.app == "all") {
     for (const auto& a : workloads::all_apps()) apps.push_back(a.name);
   } else {
@@ -391,7 +382,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       workload = std::move(bin);
-    } else if (!o.trace.empty() || !o.replay.empty()) {
+    } else if (!o.replay.empty()) {
       workload = workloads::TraceWorkload::from_file(name, cfg.n_tiles);
     } else {
       workload = std::make_shared<workloads::SyntheticApp>(
