@@ -38,10 +38,10 @@ struct CmpConfig {
   unsigned buffer_flits = 4;
   /// Single-cycle routers (lookahead routing + speculative allocation), the
   /// aggressive design point of the paper's era; false = 3-stage pipeline
-  /// (see bench/ablation_router_pipeline).
+  /// (see `paper router-pipeline`, bench/paper.cpp).
   bool single_cycle_router = true;
   /// Enable the Reply Partitioning extension [9] on top of the current link
-  /// configuration (bench/ablation_reply_partitioning).
+  /// configuration (`paper reply-partitioning`, bench/paper.cpp).
   bool reply_partitioning = false;
 
   units::Hertz freq = units::hertz(4e9);
@@ -77,6 +77,10 @@ struct CmpConfig {
     }
     return *this;
   }
+
+  /// Member-wise, so two configurations are equal only when every field
+  /// agrees (the paper driver merges equal (app, config) runs).
+  friend bool operator==(const CmpConfig&, const CmpConfig&) = default;
 };
 
 }  // namespace tcmp::cmp

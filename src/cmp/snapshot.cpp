@@ -3,10 +3,12 @@
 // One snapshot_io walk serializes the complete simulation-visible state in a
 // fixed order: driver clock and warmup boundary, barrier controller, every
 // tile's components, the network, the per-partition stat shards, and finally
-// the workload's cursors. Partition shards are saved per-shard (not merged)
-// so a restored K-thread run reproduces the exact FP accumulation order of
-// the uninterrupted one — which is why restore requires the same
-// --threads K, enforced via the fingerprint and the n_parts_ verify.
+// the workload's cursors. Partition shards are saved per-shard (not merged):
+// a shard holds its partition's sums, which cannot be re-split over another
+// partition plan, so restore requires the same --threads K, enforced via the
+// fingerprint and the n_parts_ verify. That is a rule of the shard layout,
+// not of floating-point order: shard merges are exact at any K
+// (docs/partitioning.md).
 //
 // Deliberately NOT captured (host-side / re-attachable state): observers and
 // their sampling cadence, periodic checks, the self-profiler, the flight

@@ -1,8 +1,8 @@
 // Full-CMP assembly and simulation driver: n_tiles tiles (core + L1 + L2/
-// directory slice + NIC, 16 up to 256+ via CmpConfig::with_tiles) over the
+// directory slice + NIC, 16 up to 256 via CmpConfig::with_tiles) over the
 // (possibly heterogeneous) mesh, plus a global barrier controller. Parallel
 // parameter sweeps still run one CmpSystem per configuration
-// (bench/bench_util.hpp provides the sweep driver).
+// (common/parallel.hpp; bench/paper.cpp runs every paper table that way).
 //
 // run() skips globally dead cycles instead of ticking an idle machine: after
 // each live cycle every partition reads its next wake straight from the
@@ -22,7 +22,8 @@
 // are recorded as events and replayed serially in tile order, and at K > 1
 // the slack beneficiary probe reads a double-buffered stall snapshot.
 // Simulation results are deterministic and independent of K — byte-identical
-// to the seed's reports at K = 1, equal counter maps at any K
+// to the seed's reports at K = 1, and byte-identical reports and metrics
+// documents at any K: shard merges sum integers exactly, in any order
 // (docs/partitioning.md; the one documented exception is slack
 // *classification*, which at K > 1 reads the previous cycle's stall snapshot
 // instead of live core state).
@@ -143,7 +144,7 @@ class CmpSystem {
   void dump_state(std::ostream& out) const;
 
   /// Observe every remote (mesh-traversing) message at injection time.
-  /// Used by the compression-coverage bench to capture address streams.
+  /// The paper driver's Fig. 2 probe feeds each scheme's compressors from it.
   using MsgHook = std::function<void(const protocol::CoherenceMsg&)>;
   void set_remote_msg_hook(MsgHook hook) { remote_hook_ = std::move(hook); }
 

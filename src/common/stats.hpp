@@ -273,9 +273,12 @@ class StatRegistry {
 
   /// Fold a partition shard into this registry, name-keyed: counters add,
   /// scalars merge their moments, histograms (same geometry) add per bin.
-  /// Stats the shard has and this registry lacks are created. Shards are
-  /// merged in partition-index order so FP accumulation order — the only
-  /// order-sensitive part — is deterministic for a given K.
+  /// Stats the shard has and this registry lacks are created. Histogram
+  /// samples are integers, so their moment sums are exact in a double below
+  /// 2^53 and the merge gives the same bits in any order: the merged
+  /// registry, and every report read from it, is identical at any K. Only a
+  /// scalar fed non-integer samples would depend on the (partition-index)
+  /// merge order; no simulator component registers one.
   void merge_from(const StatRegistry& shard);
 
   /// Checkpoint save/load (common/snapshot.hpp). load() applies values IN

@@ -28,7 +28,7 @@ struct SchemeConfig {
   /// compresses. false: conservative point-to-point design where each entry
   /// tracks which destinations hold it (per-destination valid bits) and the
   /// first send of an entry to each destination goes uncompressed — see
-  /// bench/ablation_dbrc_mirrors for its coverage cost.
+  /// `paper dbrc-mirrors` (bench/paper.cpp) for its coverage cost.
   bool idealized_mirrors = true;
 
   [[nodiscard]] std::string name() const;

@@ -11,7 +11,7 @@
 //
 // The coefficients are calibrated against the four Table 1 rows; endpoints
 // match by construction and mid-sized arrays land within ~±30% (printed by
-// bench/table1_compression_hw and recorded in EXPERIMENTS.md).
+// `paper table1`, bench/paper.cpp, and recorded in EXPERIMENTS.md).
 #pragma once
 
 #include "common/units.hpp"

@@ -28,6 +28,8 @@ struct ChipPowerModel {
   [[nodiscard]] units::Watts tile_leakage() const {
     return core_leakage + cache_leakage;
   }
+
+  friend bool operator==(const ChipPowerModel&, const ChipPowerModel&) = default;
 };
 
 }  // namespace tcmp::power

@@ -43,6 +43,8 @@ struct RouterEnergyModel {
         static_cast<double>(ports) * vcs * buffer_flits * flit_bits;
     return leakage_per_buffer_bit * storage_bits + leakage_per_port * ports;
   }
+
+  friend bool operator==(const RouterEnergyModel&, const RouterEnergyModel&) = default;
 };
 
 }  // namespace tcmp::power

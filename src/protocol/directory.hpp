@@ -68,6 +68,8 @@ class Directory final {
     Cycle memory_latency{400};
     /// Reply Partitioning [9]: send the critical word ahead of read replies.
     bool reply_partitioning = false;
+
+    friend bool operator==(const Config&, const Config&) = default;
   };
 
   using MsgSink = std::function<void(CoherenceMsg)>;

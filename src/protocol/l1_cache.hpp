@@ -55,6 +55,8 @@ class L1Cache final {
     /// carrying the requested word ahead of the full line; read misses
     /// unblock the core on its arrival.
     bool reply_partitioning = false;
+
+    friend bool operator==(const Config&, const Config&) = default;
   };
 
   using MsgSink = std::function<void(CoherenceMsg)>;

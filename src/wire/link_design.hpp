@@ -43,6 +43,8 @@ struct LinkPartition {
   [[nodiscard]] bool heterogeneous() const { return style == LinkStyle::kVlHet; }
   /// Fractional deviation from the 600-track baseline budget (signed).
   [[nodiscard]] double area_overshoot() const { return total_tracks / 600.0 - 1.0; }
+
+  friend bool operator==(const LinkPartition&, const LinkPartition&) = default;
 };
 
 /// The baseline homogeneous 75-byte B-Wire link.

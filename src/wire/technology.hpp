@@ -5,8 +5,8 @@
 // below describe the two global metal planes the paper considers (4X and 8X,
 // after [14]) plus the repeater device parameters. They are calibrated so the
 // model lands near the published Table 2/3 characteristics; the calibration is
-// validated by bench/table2_wire_characteristics and
-// bench/table3_vlwire_characteristics.
+// validated by the `paper table2` and `paper table3` tables
+// (bench/paper.cpp).
 //
 // All quantities are dimension-checked units::Quantity values (SI).
 #pragma once

@@ -4,8 +4,9 @@
 //  * paper_spec() — the published Table 2 / Table 3 constants. The simulator
 //    uses these so that energy/latency accounting reproduces the paper.
 //  * model_spec() — the same quantities derived from the first-order RC +
-//    repeater model (rc_model.hpp). bench/table2_* and bench/table3_* print
-//    both side by side; EXPERIMENTS.md records the deviations.
+//    repeater model (rc_model.hpp). `paper table2` and `paper table3`
+//    (bench/paper.cpp) print both side by side; EXPERIMENTS.md records the
+//    deviations.
 //
 // Absolute anchor: a delay-optimal 8X B-Wire is taken as 130 ps/mm, which at
 // 4 GHz makes a 5 mm inter-router link 2.6 cycles (quantized to 3), and puts

@@ -73,6 +73,8 @@ struct AppParams {
     if (p.ops_per_core < 200) p.ops_per_core = 200;
     return p;
   }
+
+  friend bool operator==(const AppParams&, const AppParams&) = default;
 };
 
 /// The 13 applications of Table 4, in the paper's order.

@@ -176,5 +176,34 @@ TEST(TcmpsimCli, ReplayRunsTextTraces) {
   std::remove(path.c_str());
 }
 
+/// A bad value is refused before anything is built: exit 2 (not a
+/// TCMP_CHECK abort, a hang or a silent fallback) with a reason naming
+/// `option`.
+void expect_refused(const std::string& args, const std::string& option) {
+  const auto [status, out] = run_tcmpsim(args);
+  EXPECT_EQ(status, 2) << args << "\n" << out;
+  EXPECT_NE(out.find(option), std::string::npos) << args << "\n" << out;
+}
+
+TEST(TcmpsimCli, RefusesNegativeScale) { expect_refused("--scale -1", "--scale"); }
+TEST(TcmpsimCli, RefusesNegativeTiles) { expect_refused("--tiles -1", "--tiles"); }
+TEST(TcmpsimCli, RefusesZeroTiles) { expect_refused("--tiles 0", "--tiles"); }
+TEST(TcmpsimCli, RefusesTwelveTiles) { expect_refused("--tiles 12", "--tiles"); }
+TEST(TcmpsimCli, RefusesSeventeenTiles) { expect_refused("--tiles 17", "--tiles"); }
+TEST(TcmpsimCli, RefusesUnknownApp) { expect_refused("--app Nope", "--app"); }
+TEST(TcmpsimCli, RefusesThreeLowBytes) { expect_refused("--low 3", "--low"); }
+TEST(TcmpsimCli, RefusesZeroDbrcEntries) { expect_refused("--entries 0", "--entries"); }
+TEST(TcmpsimCli, RefusesTwoByteVl) { expect_refused("--scheme perfect --vl 2", "--vl"); }
+TEST(TcmpsimCli, RefusesHetWithoutScheme) {
+  expect_refused("--config het --scheme none", "--scheme");
+}
+TEST(TcmpsimCli, RefusesMissingReplayFile) {
+  expect_refused("--replay " + ::testing::TempDir() + "no_such_trace.tct", "--replay");
+}
+TEST(TcmpsimCli, RefusesUnknownFormat) { expect_refused("--format xml", "--format"); }
+TEST(TcmpsimCli, RefusesCheckpointAtWithoutOut) {
+  expect_refused("--checkpoint-at 100", "--checkpoint-out");
+}
+
 }  // namespace
 }  // namespace tcmp

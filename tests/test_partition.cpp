@@ -1,8 +1,9 @@
 // Partitioned simulation core (docs/partitioning.md): the row-block plan,
 // the 1-cycle synchronization-horizon floor on boundary channels, and the
-// end-to-end determinism contract — equal counter maps whatever the thread
-// count, and counter digests equal to those the retired single-threaded
-// driver recorded (tests/golden/driver_digests.txt). Golden report
+// end-to-end determinism contract — equal counter maps and a byte-identical
+// metrics document whatever the thread count, and counter digests equal to
+// those the retired single-threaded driver recorded
+// (tests/golden/driver_digests.txt). Golden report
 // byte-identity at --threads 1 is covered by the tcmpsim_golden_identity
 // ctest (tools/golden_test.sh passes --threads 1 explicitly).
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "cmp/config.hpp"
+#include "cmp/metrics_export.hpp"
+#include "cmp/report.hpp"
 #include "cmp/system.hpp"
 #include "common/stats.hpp"
 #include "noc/channel.hpp"
@@ -154,6 +157,7 @@ struct RunResult {
   std::map<std::string, std::uint64_t> counters;
   Cycle cycles{};
   std::uint64_t instructions = 0;
+  std::string metrics_json;  ///< the whole write_metrics_json document
 };
 
 RunResult run_cmp(unsigned threads) {
@@ -171,25 +175,35 @@ RunResult run_cmp(unsigned threads) {
   r.counters = system.merged_stats().counters();
   r.cycles = system.total_cycles();
   r.instructions = system.total_instructions();
+  std::ostringstream json;
+  cmp::write_metrics_json(json, cmp::make_result(system), system);
+  r.metrics_json = json.str();
   return r;
 }
 
 TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCounts) {
   const RunResult one = run_cmp(1);
-  const RunResult four = run_cmp(4);
-
-  EXPECT_EQ(one.cycles, four.cycles);
-  EXPECT_EQ(one.instructions, four.instructions);
   ASSERT_FALSE(one.counters.empty());
+  for (unsigned k : {2u, 4u}) {
+    const RunResult other = run_cmp(k);
+    EXPECT_EQ(one.cycles, other.cycles) << "K=" << k;
+    EXPECT_EQ(one.instructions, other.instructions) << "K=" << k;
 
-  // Full map equality — same key set, same values — not just totals. Report
-  // any divergent counter by name for debuggability.
-  for (const auto& [name, value] : one.counters) {
-    auto it = four.counters.find(name);
-    ASSERT_NE(it, four.counters.end()) << "counter missing at K=4: " << name;
-    EXPECT_EQ(it->second, value) << "counter diverges at K=4: " << name;
+    // Full map equality — same key set, same values — not just totals.
+    // Report any divergent counter by name for debuggability.
+    for (const auto& [name, value] : one.counters) {
+      auto it = other.counters.find(name);
+      ASSERT_NE(it, other.counters.end()) << "counter missing at K=" << k << ": " << name;
+      EXPECT_EQ(it->second, value) << "counter diverges at K=" << k << ": " << name;
+    }
+    EXPECT_EQ(one.counters.size(), other.counters.size()) << "K=" << k;
+
+    // Byte-identical, not just counter-identical: every histogram sample is
+    // an integer and no simulator code registers a scalar, so the shard
+    // merge sums exactly (below 2^53) in any order and the whole metrics
+    // document — quantiles, means, energies — matches.
+    EXPECT_EQ(one.metrics_json, other.metrics_json) << "K=" << k;
   }
-  EXPECT_EQ(one.counters.size(), four.counters.size());
 }
 
 // ---- Frozen reference digests --------------------------------------------

@@ -12,10 +12,12 @@
 //   --entries N           DBRC entries (4/16/64, default 4)
 //   --low N               low-order bytes (1/2, default 2)
 //   --vl N                perfect-compression VL width (3/4/5, default 3)
-//   --tiles N             16, 32, 64 or 256 (default 16)
+//   --tiles N             16..256 tiles that fill the mesh
+//                         CmpConfig::with_tiles picks: 16 (4x4), 32 (8x4),
+//                         64 (8x8), 128 (16x8), 256 (16x16), ... (default 16)
 //   --threads N           worker threads for the partitioned driver
 //                         (default 1; see docs/partitioning.md)
-//   --scale F             workload scale (default 1.0)
+//   --scale F             workload scale, finite and > 0 (default 1.0)
 //   --reply-partitioning  enable the Reply Partitioning extension
 //   --three-stage-router  use the 3-stage router pipeline
 //   --format F            text | csv | json (default text)
@@ -29,7 +31,8 @@
 //                         else is parsed as the text trace format
 //   --checkpoint-out FILE with --checkpoint-at N: run to cycle N, write a
 //                         snapshot, then continue to completion
-//   --checkpoint-at N     cycle at which --checkpoint-out snapshots
+//   --checkpoint-at N     cycle at which --checkpoint-out snapshots (requires
+//                         --checkpoint-out)
 //   --checkpoint-in FILE  restore a snapshot (same config/workload/threads)
 //                         and continue to completion
 //   --sample SPEC         SMARTS interval sampling (requires --threads 1, no
@@ -63,6 +66,7 @@
 //
 // With --app all, per-app output files get a ".<app>" suffix before the
 // extension.
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -76,6 +80,7 @@
 #include "cmp/sampling.hpp"
 #include "cmp/system.hpp"
 #include "common/args.hpp"
+#include "common/node_set.hpp"
 #include "obs/observer.hpp"
 #include "sim/profiler.hpp"
 #include "verify/lint.hpp"
@@ -225,6 +230,24 @@ void emit_latency_table(const cmp::RunResult& r) {
   }
 }
 
+/// True for a tile count CmpConfig::with_tiles lays out exactly (width x
+/// height == tiles) within the directory's full-map sharer limit. Checked
+/// before with_tiles runs: its mesh-height loop never ends for counts near
+/// 2^32.
+bool tiles_fill_the_mesh(long tiles) {
+  if (tiles < 16 || tiles > static_cast<long>(NodeSet::kMaxNodes)) return false;
+  cmp::CmpConfig cfg;
+  cfg.with_tiles(static_cast<unsigned>(tiles));
+  return cfg.mesh_width * cfg.mesh_height == cfg.n_tiles;
+}
+
+bool known_app(const std::string& name) {
+  for (const auto& a : workloads::all_apps()) {
+    if (a.name == name) return true;
+  }
+  return false;
+}
+
 /// A .tct file is recognized by magic, not extension, so replaying a
 /// renamed trace still works.
 bool is_binary_trace(const std::string& path) {
@@ -265,16 +288,46 @@ int main(int argc, char** argv) {
   o.app = args.get("app", o.app);
   o.config = args.get("config", o.config);
   o.scheme = args.get("scheme", o.scheme);
-  o.entries = static_cast<unsigned>(args.get_long("entries", o.entries));
-  o.low = static_cast<unsigned>(args.get_long("low", o.low));
-  o.vl = static_cast<unsigned>(args.get_long("vl", o.vl));
-  o.tiles = static_cast<unsigned>(args.get_long("tiles", o.tiles));
-  o.threads = static_cast<unsigned>(args.get_long("threads", o.threads));
   o.scale = args.get_double("scale", o.scale);
-  if (o.threads < 1) {
+  // Integer values are range-checked as read, before any narrowing cast:
+  // a negative --tiles would wrap to 2^32 - 1 tiles.
+  const long entries = args.get_long("entries", o.entries);
+  const long low = args.get_long("low", o.low);
+  const long vl = args.get_long("vl", o.vl);
+  const long tiles = args.get_long("tiles", o.tiles);
+  const long threads = args.get_long("threads", o.threads);
+  if (threads < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
     return 2;
   }
+  if (!tiles_fill_the_mesh(tiles)) {
+    std::fprintf(stderr,
+                 "--tiles %ld: must be 16..%u tiles that fill the mesh "
+                 "CmpConfig::with_tiles picks (16, 32, 64, 128, 256, ...)\n",
+                 tiles, NodeSet::kMaxNodes);
+    return 2;
+  }
+  if (!std::isfinite(o.scale) || o.scale <= 0) {
+    std::fprintf(stderr, "--scale must be a finite number > 0\n");
+    return 2;
+  }
+  if (entries < 1 || entries > 256) {
+    std::fprintf(stderr, "--entries must be 1..256\n");
+    return 2;
+  }
+  if (low != 1 && low != 2) {
+    std::fprintf(stderr, "--low must be 1 or 2\n");
+    return 2;
+  }
+  if (vl < 3 || vl > 5) {
+    std::fprintf(stderr, "--vl must be 3..5\n");
+    return 2;
+  }
+  o.entries = static_cast<unsigned>(entries);
+  o.low = static_cast<unsigned>(low);
+  o.vl = static_cast<unsigned>(vl);
+  o.tiles = static_cast<unsigned>(tiles);
+  o.threads = static_cast<unsigned>(threads);
   o.reply_partitioning = args.get_flag("reply-partitioning");
   o.three_stage_router = args.get_flag("three-stage-router");
   o.format = args.get("format", o.format);
@@ -319,6 +372,29 @@ int main(int argc, char** argv) {
   }
   if (!o.checkpoint_out.empty() && o.checkpoint_at <= 0) {
     std::fprintf(stderr, "--checkpoint-out requires --checkpoint-at N (> 0)\n");
+    return 2;
+  }
+  if (args.has("checkpoint-at") && o.checkpoint_out.empty()) {
+    std::fprintf(stderr, "--checkpoint-at requires --checkpoint-out FILE\n");
+    return 2;
+  }
+  if (o.format != "text" && o.format != "csv" && o.format != "json") {
+    std::fprintf(stderr, "unknown --format '%s' (text, csv or json)\n",
+                 o.format.c_str());
+    return 2;
+  }
+  if (o.config == "het" && o.scheme == "none") {
+    std::fprintf(stderr, "--config het needs a compression --scheme\n");
+    return 2;
+  }
+  if (!o.replay.empty() && !std::ifstream(o.replay)) {
+    std::fprintf(stderr, "cannot open --replay file %s\n", o.replay.c_str());
+    return 2;
+  }
+  if (o.replay.empty() && o.app != "all" && !known_app(o.app)) {
+    std::fprintf(stderr, "unknown --app '%s' (one of:", o.app.c_str());
+    for (const auto& a : workloads::all_apps()) std::fprintf(stderr, " %s", a.name.c_str());
+    std::fprintf(stderr, ", or all)\n");
     return 2;
   }
   if (!o.record.empty() &&
