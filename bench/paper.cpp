@@ -772,12 +772,19 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return usage(tables, args.error());
   const auto unknown = args.unknown_keys({"jobs"});
   if (!unknown.empty()) return usage(tables, "unknown option --" + unknown.front());
-  // A --jobs value that does not parse reads as 0 and is refused.
+  // A --jobs value that is not entirely an integer reads as 0 and is
+  // refused.
   const long jobs = args.has("jobs") ? args.get_long("jobs", 0) : 1;
   if (jobs < 1) return usage(tables, "--jobs must be >= 1");
   const double scale = bench::workload_scale();
   if (!std::isfinite(scale) || scale <= 0) {
     return usage(tables, "TCMP_SCALE must be a finite number > 0");
+  }
+  for (const auto& a : workloads::all_apps()) {
+    if (!a.scale_fits(scale)) {
+      return usage(tables, "TCMP_SCALE is too large: " + a.name +
+                               "'s operation count does not fit in 64 bits");
+    }
   }
 
   std::vector<Table*> selected;

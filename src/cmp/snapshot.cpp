@@ -116,6 +116,7 @@ void CmpSystem::load_checkpoint(std::istream& in) {
   read_snapshot_header(r, snapshot_fingerprint());
   snapshot_io(r);
   TCMP_CHECK_MSG(r.good(), "checkpoint read failed");
+  rebuild_due_arrays();
   // The restored clock invalidates any hoisted cadence computed before the
   // load; a check installed pre-restore is re-anchored here.
   if (periodic_check_ != nullptr && check_interval_ != Cycle{0}) {

@@ -72,6 +72,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     part->remote_count = part->shard->counter_ref("msg_remote.count");
     part->remote_bytes =
         part->shard->counter_ref("msg_remote.uncompressed_bytes");
+    part->dir_due.assign(plan_.count(p), kNeverCycle);
+    part->loop_due.assign(plan_.count(p), kNeverCycle);
     shards.push_back(part->shard);
     parts_.push_back(std::move(part));
   }
@@ -261,10 +263,13 @@ void CmpSystem::route_outgoing(NodeId tile, CoherenceMsg msg) {
   if (msg.dst == tile) {
     // Tile-internal hop (e.g. the local L2 slice is the home): no mesh
     // traversal, no compression, a fixed short latency. The queue head is a
-    // wake source of partition_next_wake.
+    // wake source of partition_next_wake, through the tile's due entry.
     msg.wire_class = static_cast<std::uint8_t>(network_->num_channels());
     flight_.record(obs::FlightEventKind::kSendLocal, tile, msg, now_);
-    tiles_[tile]->loopback.push(now_ + kLoopbackLatency, msg);
+    const Cycle due = now_ + kLoopbackLatency;
+    tiles_[tile]->loopback.push(due, msg);
+    Cycle& loop = loop_due(tile);
+    loop = std::min(loop, due);
     ++P.local_count;
     return;
   }
@@ -316,9 +321,11 @@ void CmpSystem::deliver_local(NodeId tile, const CoherenceMsg& msg) {
     sl->on_delivered(tile, msg, parked, now_);
   }
   switch (msg.dst_unit) {
-    case protocol::Unit::kDir:
-      tiles_[tile]->dir->deliver(msg, now_);
+    case protocol::Unit::kDir: {
+      Cycle& due = dir_due(tile);
+      due = std::min(due, tiles_[tile]->dir->deliver(msg, now_));
       break;
+    }
     case protocol::Unit::kL1I:
       tiles_[tile]->l1i->deliver(msg);
       break;
@@ -447,6 +454,26 @@ bool CmpSystem::run(Cycle max_cycles) {
 
 // --- The cycle lockstep (docs/partitioning.md) ------------------------------
 
+bool CmpSystem::due_arrays_cover_work() const {
+  for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
+    const Partition& P = *parts_[part_of_[t]];
+    const unsigned i = t - plan_.first(part_of_[t]);
+    if (P.dir_due[i] > tiles_[t]->dir->next_event() ||
+        P.loop_due[i] > tiles_[t]->loopback.next_ready()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void CmpSystem::rebuild_due_arrays() {
+  for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
+    // tcmplint: tile-seam (single-threaded checkpoint load, between cycles)
+    dir_due(t) = tiles_[t]->dir->next_event();
+    loop_due(t) = tiles_[t]->loopback.next_ready();
+  }
+}
+
 bool CmpSystem::partition_finished(unsigned p) const {
   for (const auto& tile : tiles_of(p)) {
     if (!tile->core->done()) return false;
@@ -486,11 +513,12 @@ Cycle CmpSystem::partition_next_wake(unsigned p) {
     if (hot(kScanCore, tile->core->next_event())) return next_cycle;
   }
   if (hot(kScanNetwork, network_->next_event_partition(p))) return next_cycle;
-  for (const auto& tile : tiles) {
-    if (hot(kScanDir, tile->dir->next_event())) return next_cycle;
+  const Partition& P = *parts_[p];
+  for (const Cycle due : P.dir_due) {
+    if (hot(kScanDir, due)) return next_cycle;
   }
-  for (const auto& tile : tiles) {
-    if (hot(kScanLoopback, tile->loopback.next_ready())) return next_cycle;
+  for (const Cycle due : P.loop_due) {
+    if (hot(kScanLoopback, due)) return next_cycle;
   }
   if (p == 0 && (hot(kScanSampler, obs_sample_due_) || hot(kScanCheck, check_due_))) {
     return next_cycle;
@@ -524,13 +552,22 @@ void CmpSystem::parallel_phase(unsigned p) {
   network_->drain_boundary(p);
   network_->tick_partition(p, now_);
   if constexpr (kProfiled) prof_->lap(sc_net_);
-  for (const auto& tile : tiles) {
-    while (auto msg = tile->loopback.pop_ready(now_)) {
-      deliver_local(msg->dst, *msg);
-    }
+  // A loopback or directory that is not due has nothing ready: popping or
+  // ticking it would be a no-op. Deliveries made here lower due entries: a
+  // loopback's to now + 1, a directory's to now + its L2 latency, which the
+  // directory loop below still sees.
+  for (unsigned i = 0; i < tiles.size(); ++i) {
+    if (P.loop_due[i] > now_) continue;
+    while (auto msg = tiles[i]->loopback.pop_ready(now_)) deliver_local(msg->dst, *msg);
+    P.loop_due[i] = tiles[i]->loopback.next_ready();
   }
   if constexpr (kProfiled) prof_->lap(sc_loopback_);
-  for (const auto& tile : tiles) tile->dir->tick(now_);
+  for (unsigned i = 0; i < tiles.size(); ++i) {
+    if (P.dir_due[i] > now_) continue;
+    tiles[i]->dir->tick(now_);
+    // tcmplint: tile-seam (same-tile: the owning partition reads its own directory)
+    P.dir_due[i] = tiles[i]->dir->next_event();
+  }
   if constexpr (kProfiled) prof_->lap(sc_dirs_);
   for (unsigned i = 0; i < tiles.size(); ++i) {
     // Ticking a done core is a no-op, so skipping it is free — and it lets

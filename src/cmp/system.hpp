@@ -7,10 +7,10 @@
 // run() skips globally dead cycles instead of ticking an idle machine: after
 // each live cycle every partition reads its next wake straight from the
 // components it ticks (partition_next_wake: runnable cores, the network,
-// directory pipelines, loopback heads, and the sampler/check cadences).
-// Each *live* cycle still executes the full classic step in the classic
-// order, so results are bit-identical to the plain per-cycle loop
-// (docs/kernel.md).
+// its directories' and loopbacks' due cycles, and the sampler/check
+// cadences). Each *live* cycle executes the classic step in the classic
+// order, skipping only directories and loopbacks that are not due, so
+// results are bit-identical to the plain per-cycle loop (docs/kernel.md).
 //
 // There is one driver, the cycle lockstep of docs/partitioning.md. The tile
 // array is split into K = CmpConfig::threads contiguous row-block partitions
@@ -84,7 +84,7 @@ class CmpSystem {
 
   /// Earliest cycle after now at which partition p has work: now + 1 as soon
   /// as one of its cores is runnable, else the minimum over the network's
-  /// share, each directory's pipeline head, each loopback head and, on
+  /// share, the partition's directory and loopback due cycles and, on
   /// partition 0, the time-series sampler and periodic-check cadences
   /// (kNeverCycle: nothing will ever act without outside input). Any source
   /// at or before now + 1 ends the scan. kProfiled counts the per-source
@@ -93,6 +93,9 @@ class CmpSystem {
   [[nodiscard]] Cycle partition_next_wake(unsigned p);
   /// Partitions the tile array is split into.
   [[nodiscard]] unsigned num_partitions() const { return n_parts_; }
+  /// Due-array invariant (tests): no directory or loopback is due later than
+  /// its next event, so none is skipped while it has work.
+  [[nodiscard]] bool due_arrays_cover_work() const;
 
   /// Measured cycles (excludes the functional-warmup phase, if any).
   [[nodiscard]] Cycle cycles() const { return now_ - measure_start_; }
@@ -277,6 +280,13 @@ class CmpSystem {
     std::vector<BarrierEvent> events;
     /// Slack shard (enable_slack_telemetry); null when slack is off.
     std::unique_ptr<obs::SlackTelemetry> slack;
+    /// Due cycles of the partition's directories and loopbacks, indexed by
+    /// tile - plan_.first(p): never later than the component's next event.
+    /// Lowered by Directory::deliver and the loopback push, reset from
+    /// next_event() / next_ready() after a tick or pop; parallel_phase runs
+    /// only due entries.
+    std::vector<Cycle> dir_due;
+    std::vector<Cycle> loop_due;
     // Epilogue inputs, written by the owning thread at the end of its
     // parallel phase and read serially between the barriers.
     bool finished = false;
@@ -301,6 +311,15 @@ class CmpSystem {
   [[nodiscard]] std::span<const std::unique_ptr<Tile>> tiles_of(unsigned p) const {
     return std::span(tiles_).subspan(plan_.first(p), plan_.count(p));
   }
+  /// The due-array entries of `tile` in its owning partition.
+  [[nodiscard]] Cycle& dir_due(unsigned tile) {
+    return parts_[part_of_[tile]]->dir_due[tile - plan_.first(part_of_[tile])];
+  }
+  [[nodiscard]] Cycle& loop_due(unsigned tile) {
+    return parts_[part_of_[tile]]->loop_due[tile - plan_.first(part_of_[tile])];
+  }
+  /// Reset every due entry to its component's next event (checkpoint load).
+  void rebuild_due_arrays();
   /// run() body, compiled with or without self-profiler laps (results are
   /// bit-identical in both): T = min(K, host cores) threads — T - 1 workers
   /// plus this thread as coordinator — each running every T-th partition's
@@ -313,9 +332,9 @@ class CmpSystem {
   template <bool kProfiled>
   void serial_prologue();
   /// Partition p's share of one live cycle: drain boundary events, tick the
-  /// partition's routers/lanes, pop loopbacks, tick directories and cores
-  /// (recording barrier events), publish the stall snapshot, compute the
-  /// partition's finished flag and next wake.
+  /// partition's routers/lanes, pop the due loopbacks, tick the due
+  /// directories and the cores (recording barrier events), publish the stall
+  /// snapshot, compute the partition's finished flag and next wake.
   template <bool kProfiled>
   void parallel_phase(unsigned p);
   /// Between the cycle's barriers: barrier-event replay, periodic check,

@@ -1,5 +1,6 @@
 #include "common/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace tcmp {
@@ -36,20 +37,39 @@ std::string ArgParser::get(const std::string& key, const std::string& fallback) 
   return it != values_.end() ? it->second : fallback;
 }
 
+namespace {
+
+/// `parse(text, &end)` read all of `text` without a range error.
+template <typename T, typename Parse>
+bool parse_whole(const std::string& text, Parse parse, T& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = parse(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+}  // namespace
+
 double ArgParser::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end != it->second.c_str() ? v : fallback;
+  double v = 0;
+  if (parse_whole(it->second, [](const char* s, char** e) { return std::strtod(s, e); }, v)) {
+    return v;
+  }
+  rejected_.insert(key);
+  return fallback;
 }
 
 long ArgParser::get_long(const std::string& key, long fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  return end != it->second.c_str() ? v : fallback;
+  long v = 0;
+  if (parse_whole(it->second, [](const char* s, char** e) { return std::strtol(s, e, 10); }, v)) {
+    return v;
+  }
+  rejected_.insert(key);
+  return fallback;
 }
 
 bool ArgParser::get_flag(const std::string& key) const {

@@ -1,6 +1,6 @@
 // Minimal command-line argument parser for the tools and examples:
-// supports --key value, --key=value, and boolean --flag forms, with typed
-// accessors and unknown-argument detection.
+// supports --key value, --key=value, and boolean --flag forms, with strict
+// typed accessors and unknown-argument detection.
 #pragma once
 
 #include <map>
@@ -18,8 +18,13 @@ class ArgParser {
 
   [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
+  /// Typed values: `fallback` when the key is absent. A value that is not
+  /// entirely a number of the type (trailing junk, no digits, out of the
+  /// type's range) also reads as `fallback`, and its key joins rejected().
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] long get_long(const std::string& key, long fallback) const;
+  /// Keys whose value get_double/get_long refused, so a tool can name them.
+  [[nodiscard]] const std::set<std::string>& rejected() const { return rejected_; }
   /// --flag with no value (or =true/=false).
   [[nodiscard]] bool get_flag(const std::string& key) const;
 
@@ -35,6 +40,7 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   std::string error_;
+  mutable std::set<std::string> rejected_;
 };
 
 }  // namespace tcmp

@@ -1,5 +1,5 @@
 // Allocation-free hot-path queue primitives. The modeled structures they
-// back are tiny and bounded (credit-bounded VC buffers, per-line pending
+// back are tiny and bounded (per-tile event histories, per-line pending
 // queues that are almost always empty, sequence windows spanning a handful
 // of in-flight messages), so fixed or small-buffer storage is faithful to
 // the hardware as well as fast: no per-element node allocation, no
@@ -19,8 +19,8 @@ namespace tcmp {
 
 /// Fixed-capacity FIFO ring. The capacity is set once (construction or
 /// reset_capacity) and never grows: pushing into a full ring is a programming
-/// error (at the router use site it would mean a credit-protocol violation,
-/// which the caller checks first). Requires default-constructible T.
+/// error (the caller checks or evicts first). Requires default-constructible
+/// T.
 template <typename T>
 class RingBuffer {
  public:

@@ -52,8 +52,9 @@ namespace tcmp {
 
 /// Bumped when the stream layout changes incompatibly. Readers accept only
 /// their own version: there is no migration from older layouts (v1 carried
-/// a wake-calendar section v2 dropped; see docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// a wake-calendar section v2 dropped; v3 stores flits as routing records
+/// with packet slabs and credit FIFOs; see docs/checkpointing.md).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 namespace snapshot_detail {
 

@@ -54,6 +54,7 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
   for (unsigned n = 0; n < cfg_.nodes(); ++n) part_of_[n] = plan_.part_of(n);
   boundary_index_.assign(static_cast<std::size_t>(k) * k, ~0u);
   inbound_.resize(k);
+  slabs_.resize(k);
 
   planes_.resize(cfg_.channels.size());
   for (unsigned c = 0; c < cfg_.channels.size(); ++c) {
@@ -118,7 +119,7 @@ BoundaryChannel* Network::channel_between(unsigned from, unsigned to) {
   unsigned& idx = boundary_index_[static_cast<std::size_t>(from) * k + to];
   if (idx == ~0u) {
     idx = static_cast<unsigned>(boundaries_.size());
-    boundaries_.push_back(std::make_unique<BoundaryChannel>());
+    boundaries_.push_back(std::make_unique<BoundaryChannel>(&slabs_[from], &slabs_[to]));
     inbound_[to].push_back(boundaries_.back().get());
   }
   return boundaries_[idx].get();
@@ -127,7 +128,9 @@ BoundaryChannel* Network::channel_between(unsigned from, unsigned to) {
 void Network::set_observer(obs::Observer* obs) {
   obs_ = obs;
   for (auto& plane : planes_) {
-    for (auto& r : plane.routers) r->set_observer(obs);
+    for (unsigned p = 0; p < num_partitions(); ++p) {
+      for (const auto& r : plane.routers_of(p)) r->set_observer(obs, &slabs_[p]);
+    }
   }
 }
 
@@ -199,8 +202,8 @@ void Network::build_mesh(unsigned ch) {
       router.set_route(static_cast<NodeId>(d), port);
     }
     const auto node = static_cast<NodeId>(r);
-    router.set_eject(kPortLocal, [this, ch, node](Flit&& flit) {
-      on_eject(ch, node, std::move(flit), now_);
+    router.set_eject(kPortLocal, [this, ch, node](const Flit& flit) {
+      on_eject(ch, node, flit, now_);
     });
     plane.attach[r] = Attach{&router, kPortLocal};
   }
@@ -250,8 +253,8 @@ void Network::build_tree(unsigned ch) {
     }
     for (unsigned i = 0; i < 4; ++i) {
       const auto node = static_cast<NodeId>(c * 4 + i);
-      cluster.set_eject(i, [this, ch, node](Flit&& flit) {
-        on_eject(ch, node, std::move(flit), now_);
+      cluster.set_eject(i, [this, ch, node](const Flit& flit) {
+        on_eject(ch, node, flit, now_);
       });
       plane.attach[node] = Attach{&cluster, i};
       // The tile-to-cluster stub is part of the plane's metal.
@@ -288,52 +291,51 @@ void Network::pump_lane(unsigned ch, NodeId node, unsigned vnet, Cycle now) {
     lane.flits_emitted = 0;
     lane.total_flits = flits_for(ch, lane.queue.front().wire_bytes);
     lane.vc = vnet * cfg_.vcs_per_vnet;  // single-VC lanes use the first VC
-    lane.packet_id = lane.next_packet_id++;
   }
   const Attach& at = planes_[ch].attach[node];
   if (!at.router->can_inject(at.port, lane.vc)) return;
 
   const Packet& pkt = lane.queue.front();
   const ChannelSpec& spec = cfg_.channels[ch];
+  const unsigned part = part_of_[node];
   const unsigned i = lane.flits_emitted;
   const unsigned remaining = pkt.wire_bytes - i * spec.width_bytes;
+  if (i == 0) lane.packet = slabs_[part].alloc(PacketRecord{pkt.msg, pkt.queued_at, 0});
   Flit flit;
-  flit.packet_id = lane.packet_id;
-  flit.src = pkt.msg.src;
+  flit.packet = lane.packet;
   flit.dst = pkt.msg.dst;
   flit.vnet = static_cast<std::uint8_t>(vnet);
   flit.head = i == 0;
   flit.tail = i + 1 == lane.total_flits;
   flit.active_bits =
       static_cast<std::uint16_t>(8 * std::min(remaining, spec.width_bytes.value()));
-  flit.injected_at = pkt.queued_at;
   if (flit.tail) {
-    flit.msg = pkt.msg;
-    flit.queue_cycles = static_cast<std::uint16_t>(
+    slabs_[part][lane.packet].queue_cycles = static_cast<std::uint16_t>(
         std::min<std::uint64_t>((now - pkt.queued_at).value(), 0xFFFF));
   }
 
-  const bool ok = at.router->try_inject(at.port, lane.vc, std::move(flit), now);
+  const bool ok = at.router->try_inject(at.port, lane.vc, flit, now);
   TCMP_CHECK(ok);
-  ++planes_[ch].pstats[part_of_[node]].flits_injected;
+  ++planes_[ch].pstats[part].flits_injected;
   if (++lane.flits_emitted == lane.total_flits) {
     lane.queue.pop_front();
     lane.active = false;
   }
 }
 
-void Network::on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now) {
+void Network::on_eject(unsigned ch, NodeId node, const Flit& flit, Cycle now) {
   if (!flit.tail) return;  // only the tail completes the packet
   const unsigned part = part_of_[node];
-  const Cycle total = now - flit.injected_at;
+  const PacketRecord pkt = slabs_[part].release(flit.packet);
+  const Cycle total = now - pkt.injected_at;
   planes_[ch].pstats[part].latency.add(total.value());
-  if (protocol::is_critical(flit.msg.type)) {
+  if (protocol::is_critical(pkt.msg.type)) {
     critical_latency_[part].add(total.value());
   }
   // Decompose: queue covers NI lane wait plus serialization (inject ->
   // tail leaves the NI); wire is accumulated link flight; the remainder is
   // router pipeline and contention time.
-  const Cycle queue{flit.queue_cycles};
+  const Cycle queue{pkt.queue_cycles};
   const Cycle wire{flit.wire_cycles};
   const Cycle router = total - queue - wire;
   VnetLatency& vl = vnet_lat_[part][flit.vnet];
@@ -342,10 +344,10 @@ void Network::on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now) {
   vl.router.add(router.value());
   vl.wire.add(wire.value());
   if (obs_ != nullptr) [[unlikely]] {
-    obs_->msg_ejected(flit.msg, now, total, queue, wire);
+    obs_->msg_ejected(pkt.msg, now, total, queue, wire);
   }
   TCMP_CHECK(deliver_ != nullptr);
-  deliver_(node, flit.msg);
+  deliver_(node, pkt.msg);
 }
 
 void Network::tick_partition(unsigned p, Cycle now) {
@@ -398,7 +400,7 @@ void Network::collect_work(const ChannelPlane& plane, unsigned p,
   std::ranges::fill(busy_lanes, 0);
   const auto routers = plane.routers_of(p);
   for (unsigned i = 0; i < routers.size(); ++i) {
-    if (!routers[i]->idle()) set_bit(active, i);
+    if (!routers[i]->quiescent()) set_bit(active, i);
   }
   for (unsigned n = plan_.first(p); n < plan_.first(p + 1); ++n) {
     for (unsigned v = 0; v < protocol::kNumVnets; ++v) {
@@ -432,8 +434,17 @@ bool Network::work_sets_cover_work() const {
         return false;
       }
     }
+    for (const auto& r : plane.routers) {
+      if (!r->wake_covers_fronts()) return false;
+    }
   }
   return true;
+}
+
+std::size_t Network::live_packets() const {
+  std::size_t live = 0;
+  for (const PacketSlab& slab : slabs_) live += slab.live();
+  return live;
 }
 
 bool Network::quiescent() const {

@@ -2,10 +2,13 @@
 // interfaces (packetization, injection lanes per virtual network, ejection
 // reassembly). The caller's mapping policy decides which channel and how many
 // wire bytes each message uses; the network handles everything below that.
+// Each partition keeps one PacketSlab (noc/flit.hpp) for the messages of the
+// packets its routers and lanes hold.
 //
-// Thread compatibility: every router, injection lane, work-set mask and
-// stat handle belongs to one partition of the plan (docs/partitioning.md) —
-// a single one unless the mesh is split. The partition phases (drain_boundary / tick_partition /
+// Thread compatibility: every router, injection lane, packet slab, work-set
+// mask and stat handle belongs to one partition of the plan
+// (docs/partitioning.md) — a single one unless the mesh is split. The
+// partition phases (drain_boundary / tick_partition /
 // next_event_partition / quiescent_partition) touch only that partition's
 // state, and the two direct writes a cross-partition link would make are
 // rerouted onto BoundaryChannels, swapped by the serial epilogue
@@ -125,14 +128,17 @@ class Network final {
   /// Every partition quiescent (boundary channels aside).
   [[nodiscard]] bool quiescent() const;
   /// Work-set invariant (tests): every router outside its partition's
-  /// active set is idle and every injection lane outside the busy set is
-  /// empty.
+  /// active set is empty, every injection lane outside the busy set is
+  /// empty, and no router's wake is later than one of its front flits'
+  /// arrival.
   [[nodiscard]] bool work_sets_cover_work() const;
+  /// Packet records allocated across every partition's slab: the packets
+  /// being pumped, buffered or on a link (0 once the network drains).
+  [[nodiscard]] std::size_t live_packets() const;
   /// Next event of a single-partition network: next cycle while any router
-  /// buffers flits or any injection lane has a packet (both may act every
-  /// cycle), otherwise the earliest in-flight link arrival across every
-  /// plane. Only the work sets are visited: an idle router or lane has no
-  /// event.
+  /// has an arrived flit or any injection lane has a packet (both may act
+  /// every cycle), otherwise the earliest flit arrival across every plane.
+  /// Only the work sets are visited: an empty router or lane has no event.
   [[nodiscard]] Cycle next_event() const {
     TCMP_DCHECK(num_partitions() == 1);
     return next_event_partition(0);
@@ -159,16 +165,18 @@ class Network final {
     return cfg_.channels[c].flits_for(wire_bytes);
   }
 
-  /// Checkpoint serialization (common/snapshot.hpp): every router and
-  /// injection lane across every plane, plus the cycle clock. Boundary
-  /// channels must be empty — a checkpoint happens between cycles, after
-  /// exchange_boundaries() and the following drain have run. The work sets
-  /// are derived from that state and rebuilt on load.
+  /// Checkpoint serialization (common/snapshot.hpp): every partition's
+  /// packet slab, every router and injection lane across every plane, plus
+  /// the cycle clock. Boundary channels must be empty — a checkpoint happens
+  /// between cycles, after exchange_boundaries() and the following drain
+  /// have run. The work sets are derived from that state and rebuilt on
+  /// load.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
     TCMP_CHECK_MSG(boundaries_empty(),
                    "network snapshot with boundary events in flight");
     ar.section("noc");
+    for (PacketSlab& slab : slabs_) ar.field(slab);  // in place: channels point at them
     for (ChannelPlane& plane : planes_) {
       for (auto& r : plane.routers) ar.field(*r);
       for (auto& node_lanes : plane.lanes)
@@ -194,15 +202,13 @@ class Network final {
 
   /// One injection lane per (node, channel, vnet): serializes packets into
   /// flits, one flit per cycle, holding a single VC until the tail is in.
-  /// Packet ids are lane-local (id x lane is unique) so id assignment needs
-  /// no cross-partition counter.
   struct Lane {
     std::deque<Packet> queue;
     unsigned flits_emitted = 0;
     unsigned total_flits = 0;
     unsigned vc = 0;
-    std::uint64_t packet_id = 0;
-    std::uint64_t next_packet_id = 1;
+    /// Slab handle of the front packet, allocated when its head is pumped.
+    std::uint32_t packet = 0;
     bool active = false;
 
     template <typename Ar>
@@ -211,8 +217,7 @@ class Network final {
       ar.field(flits_emitted);
       ar.field(total_flits);
       ar.field(vc);
-      ar.field(packet_id);
-      ar.field(next_packet_id);
+      ar.field(packet);
       ar.field(active);
     }
   };
@@ -265,13 +270,13 @@ class Network final {
     return (node - plan_.first(p)) * protocol::kNumVnets + vnet;
   }
   /// The work sets partition p's routers and lanes call for on `plane`:
-  /// exactly the non-idle routers and non-empty lanes.
+  /// exactly the non-empty routers and lanes.
   void collect_work(const ChannelPlane& plane, unsigned p,
                     std::vector<std::uint64_t>& active,
                     std::vector<std::uint64_t>& busy_lanes) const;
   /// Reset every work set to collect_work (checkpoint load).
   void rebuild_work_sets();
-  void on_eject(unsigned ch, NodeId node, Flit&& flit, Cycle now);
+  void on_eject(unsigned ch, NodeId node, const Flit& flit, Cycle now);
 
   /// The boundary channel carrying events produced by partition `from` for
   /// partition `to`, created on first use during topology build.
@@ -288,6 +293,9 @@ class Network final {
   // tcmplint: snapshot-exempt (callback wired by the system constructor)
   DeliverFn deliver_;
   obs::Observer* obs_ = nullptr;
+  /// [partition]. Sized once by the constructor: routers and boundary
+  /// channels keep pointers into it.
+  std::vector<PacketSlab> slabs_;
   std::vector<ChannelPlane> planes_;
   std::vector<HistogramRef> critical_latency_;  ///< [partition]
   /// Per-vnet end-to-end latency decomposition ("noc.lat.<class>.<part>"):

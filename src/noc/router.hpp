@@ -1,16 +1,26 @@
 // Input-queued virtual-channel wormhole router with credit-based flow
 // control and a 3-stage pipeline (BW -> VA -> SA/ST) plus link traversal:
 // a flit buffered at cycle t can win VC allocation at t+1, switch allocation
-// at t+2, and is written into the downstream buffer at t+3+link_cycles.
+// at t+2, and arrives in the downstream buffer at t+3+link_cycles.
 //
-// One tick() runs the router's whole cycle: deliver the link arrivals and
-// credit returns that are due (deliver_due_ says when), then one pass over
-// the input VCs in (port, vc) order that allocates output VCs and collects
-// each output port's switch requests as a bitmask over the (port, vc)
-// slots, then one round-robin winner per output port, found with
+// Due-time state (docs/performance.md "Router tick"): a switch traversal in
+// cycle t writes the flit straight into the downstream input-VC ring,
+// stamped with its arrival cycle t + 1 + link_cycles. The credit it spent
+// already reserved that slot, so the ring holds the flits on the link as
+// well as the buffered ones, in arrival order, and allocation skips a front
+// that has not arrived yet. Credit returns are deadlines in a per-output-VC
+// FIFO that switch allocation drains only when the VC's count is 0, so a
+// credit never makes a router tick. wake_ is the earliest front arrival: the
+// router has work in every cycle at or after it, and none before.
+//
+// One tick() runs the router's cycle once wake_ is due: one pass over the
+// occupied input VCs in (port, vc) order that allocates output VCs and
+// collects each output port's switch requests as a bitmask over the
+// (port, vc) slots, then one round-robin winner per output port, found with
 // std::countr_zero from the port's pointer. The network ticks only the
 // routers in its partition's active set (noc/network.hpp): every write that
-// gives a router work sets its bit, and a tick that leaves it idle clears it.
+// gives a router a flit sets its bit, and a tick that leaves it empty clears
+// it.
 //
 // Routing is table-driven: the topology builder (2D mesh with XY routes, or
 // the two-level tree) fills a per-router destination->output-port table, so
@@ -24,22 +34,21 @@
 // Thread compatibility: single-owner, no internal locking. Downstream/
 // upstream router pointers are intra-plane wiring; when a link crosses a
 // partition boundary the two writes it makes through them (flit into the
-// downstream arrival queue, credit into the upstream return heap) are
+// downstream input ring, credit into the upstream credit FIFO) are
 // rerouted onto a BoundaryChannel (noc/boundary.hpp) and applied by the
 // owning partition — the only cross-partition *reads* left are of
 // construction-time-immutable link configuration (docs/partitioning.md).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "common/queues.hpp"
+#include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
-#include "protocol/delay_queue.hpp"
 
 namespace tcmp::obs {
 class Observer;
@@ -69,7 +78,7 @@ class Router {
     bool single_cycle = true;
   };
 
-  using EjectFn = std::function<void(Flit&&)>;
+  using EjectFn = std::function<void(const Flit&)>;
 
   Router(NodeId id, const Config& cfg, StatRegistry* stats, std::string stat_prefix);
 
@@ -83,134 +92,138 @@ class Router {
   /// Destination `dst` leaves this router through `port`.
   void set_route(NodeId dst, unsigned port);
 
-  /// Attach a lifecycle observer (per-hop trace events); null detaches.
-  void set_observer(obs::Observer* obs) { obs_ = obs; }
+  /// Attach a lifecycle observer (per-hop trace events), which reads each
+  /// tail's message from `slab` (the owning partition's); null detaches.
+  void set_observer(obs::Observer* obs, const PacketSlab* slab) {
+    obs_ = obs;
+    slab_ = slab;
+  }
 
   /// Mark output `out_port` (already connect()ed) as crossing a partition
   /// boundary: switched flits go to `ch` instead of directly into the
-  /// downstream router's arrival queue.
+  /// downstream router's input ring.
   void set_cross_downstream(unsigned out_port, BoundaryChannel* ch) {
     TCMP_CHECK(out_port < kNumPorts && output_[out_port].downstream != nullptr);
     output_[out_port].cross = ch;
   }
   /// Mark input `in_port`'s upstream as cross-partition: credit returns go
-  /// to `ch` instead of directly into the upstream router's credit heap.
+  /// to `ch` instead of directly into the upstream router's credit FIFO.
   void set_cross_upstream(unsigned in_port, BoundaryChannel* ch) {
-    TCMP_CHECK(in_port < kNumPorts && upstream_of_input_[in_port] != nullptr);
-    upstream_cross_[in_port] = ch;
+    TCMP_CHECK(in_port < kNumPorts && upstream_[in_port].router != nullptr);
+    upstream_[in_port].cross = ch;
   }
 
   /// Bind this router to its bit in the owning partition's active set
-  /// (Network work sets): the wake sites below set the bit, and tick()
-  /// clears it when it leaves the router idle.
+  /// (Network work sets): the flit writes below set the bit, and tick()
+  /// clears it when it leaves the router empty.
   void set_work_bit(std::uint64_t* word, std::uint64_t bit) {
     work_word_ = word;
     work_bit_ = bit;
   }
 
-  /// The two writes a link makes into this router, both wake sites: a flit
-  /// into input `port`'s arrival pipe and a credit into the return heap.
-  /// A same-partition upstream/downstream router calls them directly; a
-  /// boundary channel (noc/boundary.hpp) calls them on the owning partition.
-  void external_arrival(unsigned port, unsigned vc, Cycle deadline, Flit&& flit) {
-    arrivals_[port].push(deadline, {vc, std::move(flit)});
-    ++arrivals_pending_;
-    deliver_due_ = std::min(deliver_due_, deadline);
-    wake();
+  /// The two writes a link makes into this router. A flit lands in input
+  /// `port`'s VC ring stamped with its arrival cycle `at` (a wake site); a
+  /// credit return joins output `out_port`'s credit FIFO and is counted
+  /// when switch allocation needs it (not a wake site). A same-partition
+  /// upstream/downstream router calls them directly; a boundary channel
+  /// (noc/boundary.hpp) calls them on the owning partition.
+  void external_arrival(unsigned port, unsigned vc, Cycle at, const Flit& flit) {
+    InputVc& in = input_[port * nvc_ + vc];
+    TCMP_CHECK_MSG(in.size < depth_, "credit protocol violated: buffer overflow");
+    push_flit(port * nvc_ + vc, at, flit);
   }
   void external_credit(unsigned out_port, unsigned vc, Cycle deadline) {
-    credit_returns_.push(deadline, {out_port, vc});
-    deliver_due_ = std::min(deliver_due_, deadline);
-    wake();
+    const unsigned o = out_port * nvc_ + vc;
+    OutputVc& ovc = out_vcs_[o];
+    TCMP_DCHECK_MSG(ovc.credit_size < depth_, "credit slots overflow");
+    Cycle* const ring = &credit_at_[o * depth_];
+    unsigned i = ovc.credit_head + ovc.credit_size;
+    if (i >= depth_) i -= depth_;
+    TCMP_DCHECK_MSG(ovc.credit_size == 0 ||
+                        deadline >= ring[i == 0 ? depth_ - 1 : i - 1],
+                    "credit deadlines must not decrease per output VC");
+    ring[i] = deadline;
+    ++ovc.credit_size;
   }
 
-  /// Network-interface injection into input port `port` (a wake site).
-  /// Returns false when the chosen VC has no buffer space (retry next cycle).
-  [[nodiscard]] bool try_inject(unsigned port, unsigned vc, Flit&& flit, Cycle now);
+  /// Network-interface injection into input port `port` (a wake site): the
+  /// flit arrives at `now`. Returns false when the chosen VC has no buffer
+  /// space (retry next cycle).
+  [[nodiscard]] bool try_inject(unsigned port, unsigned vc, const Flit& flit, Cycle now) {
+    if (!can_inject(port, vc)) return false;
+    push_flit(port * nvc_ + vc, now, flit);
+    return true;
+  }
   /// True if the port's VC can accept a flit this cycle.
-  [[nodiscard]] bool can_inject(unsigned port, unsigned vc) const;
+  [[nodiscard]] bool can_inject(unsigned port, unsigned vc) const {
+    TCMP_DCHECK(port < kNumPorts && vc < nvc_);
+    return input_[port * nvc_ + vc].size < depth_;
+  }
 
-  /// One cycle: deliver what is due, then allocate and switch while flits
-  /// are buffered. Every link takes >= 1 cycle, so nothing a router pushes
-  /// during its tick (flit deadline now + 1 + link_cycles, credit deadline
-  /// now + link_cycles) is due before the next cycle: ticking the routers
-  /// one after another is exact against running each phase across all of
-  /// the partition's routers in turn.
+  /// One cycle: allocate and switch once a front flit has arrived. Every
+  /// link takes >= 1 cycle, so nothing a router writes during its tick (flit
+  /// arrival now + 1 + link_cycles, credit deadline now + link_cycles) is
+  /// due before the next cycle: ticking the routers one after another is
+  /// exact against running each phase across all of the partition's
+  /// routers in turn.
   void tick(Cycle now) {
-    if (now >= deliver_due_) deliver(now);
-    if (buffered_ != 0) allocate_and_switch(now);
-    if (idle()) *work_word_ &= ~work_bit_;
+    if (now >= wake_) allocate_and_switch(now);
+    if (occupied_ == 0) *work_word_ &= ~work_bit_;
   }
 
-  /// Nothing buffered and nothing in flight towards this router (link
-  /// arrivals or credit returns): ticking it is a no-op.
-  [[nodiscard]] bool idle() const {
-    return buffered_ == 0 && deliver_due_ == kNeverCycle;
-  }
-  /// No flits buffered or on an input link (credit returns do not count).
-  [[nodiscard]] bool quiescent() const {
-    return buffered_ == 0 && arrivals_pending_ == 0;
-  }
+  /// No flit buffered or on an input link (credit returns do not count):
+  /// ticking it is a no-op, and it has no event.
+  [[nodiscard]] bool quiescent() const { return occupied_ == 0; }
 
-  /// Earliest cycle after `now` at which tick() has work: next cycle while
-  /// flits are buffered (allocation/switching may act every cycle),
-  /// otherwise the earliest link arrival. In-flight credit returns are
-  /// deliberately NOT a wake source: credits are only read during switch
-  /// allocation, which requires buffered flits — and buffered flits keep
-  /// every cycle live, so a credit due at cycle c is always applied (by the
-  /// tick's delivery) no later than the first cycle whose switch could read
-  /// it. See docs/kernel.md for the full argument.
-  [[nodiscard]] Cycle next_event(Cycle now) const {
-    if (buffered_ != 0) return now + 1;
-    if (arrivals_pending_ == 0) return kNeverCycle;
-    Cycle nxt = kNeverCycle;
-    for (const auto& q : arrivals_) nxt = std::min(nxt, q.next_ready());
-    return nxt;
-  }
+  /// Earliest cycle after `now` at which tick() has work: the next cycle
+  /// once a front flit has arrived (allocation/switching may act every
+  /// cycle), otherwise the earliest front arrival. Credit returns are
+  /// deliberately NOT a wake source: they are counted when a switch request
+  /// needs one, which requires an arrived front flit — and an arrived front
+  /// keeps every cycle live. See docs/kernel.md for the full argument.
+  [[nodiscard]] Cycle next_event(Cycle now) const { return std::max(wake_, now + 1); }
 
-  /// Flits in the input buffers / in flight on the input links.
-  [[nodiscard]] unsigned buffered_flits() const { return buffered_; }
-  [[nodiscard]] unsigned flits_on_links() const { return arrivals_pending_; }
+  /// Wake invariant (tests): wake_ is no later than any front flit's arrival.
+  [[nodiscard]] bool wake_covers_fronts() const;
 
-  [[nodiscard]] unsigned num_vcs() const { return cfg_.vcs_per_vnet * cfg_.vnets; }
+  /// The flits in this router's input rings at the end of cycle `now`: those
+  /// that have arrived (buffered) and those still on an input link.
+  struct Census {
+    unsigned buffered = 0;
+    unsigned on_links = 0;
+  };
+  [[nodiscard]] Census census(Cycle now) const;
+
+  [[nodiscard]] unsigned num_vcs() const { return nvc_; }
   [[nodiscard]] NodeId id() const { return id_; }
 
-  /// Checkpoint serialization (common/snapshot.hpp): every input VC buffer,
-  /// output VC allocation/credit state, in-flight link arrivals and credit
-  /// returns. Wiring (downstream pointers, routes, eject fns) is rebuilt by
-  /// construction and not serialized; deliver_due_ is derived from the
-  /// queues on load, and the network rebuilds its work sets.
+  /// Checkpoint serialization (common/snapshot.hpp): every input VC ring
+  /// with its arrival stamps, output VC allocation/credit state and the
+  /// credit-return FIFOs. Wiring (downstream pointers, routes, eject fns) is
+  /// rebuilt by construction and not serialized; the occupied mask and
+  /// wake_ are derived from the rings on load, and the network rebuilds its
+  /// work sets.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
-    ar.field(buffered_);
-    ar.field(arrivals_pending_);
     ar.field(input_);
-    for (OutputPort& p : output_) {
-      ar.field(p.vcs);
-      ar.field(p.sa_rr);
+    ar.field(slots_);
+    ar.field(out_vcs_);
+    ar.field(credit_at_);
+    for (OutputPort& p : output_) ar.field(p.sa_rr);
+    if constexpr (!Ar::kIsWriter) {
+      occupied_ = 0;
+      for (unsigned s = 0; s < input_.size(); ++s) {
+        if (input_[s].size != 0) occupied_ |= std::uint64_t{1} << s;
+      }
+      wake_ = earliest_front();
     }
-    for (auto& q : arrivals_) ar.field(q);
-    ar.field(credit_returns_);
-    if constexpr (!Ar::kIsWriter) deliver_due_ = next_deliver();
   }
 
  private:
-  struct BufferedFlit {
-    Flit flit;
-    Cycle buffered_at{0};
-
-    template <typename Ar>
-    void snapshot_io(Ar& ar) {
-      ar.field(flit);
-      ar.field(buffered_at);
-    }
-  };
-
+  /// One input VC's ring state; its flits are slots_[s * depth_ ...].
   struct InputVc {
-    /// Fixed-capacity ring sized by the credit bound (cfg_.buffer_flits):
-    /// credits guarantee an upstream never sends into a full buffer, so the
-    /// ring can never overflow (checked in deliver / can_inject).
-    RingBuffer<BufferedFlit> buffer;
+    unsigned head = 0;  ///< ring index of the front flit
+    unsigned size = 0;  ///< flits buffered or on the link (credit-bounded)
     bool routed = false;
     unsigned out_port = 0;
     bool vc_allocated = false;
@@ -219,7 +232,8 @@ class Router {
 
     template <typename Ar>
     void snapshot_io(Ar& ar) {
-      ar.field(buffer);
+      ar.field(head);
+      ar.field(size);
       ar.field(routed);
       ar.field(out_port);
       ar.field(vc_allocated);
@@ -228,18 +242,33 @@ class Router {
     }
   };
 
+  /// A flit in an input ring and the cycle it arrives (is buffered).
+  struct Slot {
+    Cycle at{0};
+    Flit flit;
+
+    template <typename Ar>
+    void snapshot_io(Ar& ar) {
+      ar.field(at);
+      ar.field(flit);
+    }
+  };
+
+  /// One output VC: allocation, credit count and the credit-return FIFO
+  /// credit_at_[o * depth_ ...]. In-flight credits never exceed the
+  /// downstream buffer depth, so the FIFO never overflows.
   struct OutputVc {
     bool held = false;
-    unsigned holder_port = 0;
-    unsigned holder_vc = 0;
     unsigned credits = 0;
+    unsigned credit_head = 0;
+    unsigned credit_size = 0;
 
     template <typename Ar>
     void snapshot_io(Ar& ar) {
       ar.field(held);
-      ar.field(holder_port);
-      ar.field(holder_vc);
       ar.field(credits);
+      ar.field(credit_head);
+      ar.field(credit_size);
     }
   };
 
@@ -247,42 +276,49 @@ class Router {
     Router* downstream = nullptr;
     unsigned downstream_port = 0;
     unsigned link_cycles = 0;
-    double link_mm = 0.0;  // tcmplint: allow-raw-unit (energy accounting, mm)
+    /// Link length in 0.1 mm units (bit_dmm_hops energy accounting).
+    std::uint64_t link_dmm = 0;
     EjectFn eject;  ///< set on ejection ports instead of a downstream
     BoundaryChannel* cross = nullptr;  ///< non-null: link crosses a partition
-    std::vector<OutputVc> vcs;
     unsigned sa_rr = 0;  ///< round-robin pointer over (in_port, in_vc)
   };
 
-  struct LinkArrival {
-    unsigned vc = 0;
-    Flit flit;
-
-    template <typename Ar>
-    void snapshot_io(Ar& ar) {
-      ar.field(vc);
-      ar.field(flit);
-    }
+  /// Where an input port's credits go: the upstream output port, and the
+  /// boundary channel when the upstream is in another partition.
+  struct Upstream {
+    Router* router = nullptr;
+    unsigned out_port = 0;
+    BoundaryChannel* cross = nullptr;
   };
 
-  void send_credit(unsigned in_port, unsigned vc, Cycle now);
-  void wake() { *work_word_ |= work_bit_; }
-
-  // The busy-path bodies of tick().
-  void deliver(Cycle now);
-  void allocate_and_switch(Cycle now);
-  /// Earliest pending link-arrival or credit-return deadline (kNeverCycle
-  /// when nothing is in flight towards this router).
-  [[nodiscard]] Cycle next_deliver() const {
-    Cycle due = credit_returns_.next_ready();
-    for (const auto& q : arrivals_) due = std::min(due, q.next_ready());
-    return due;
+  void push_flit(unsigned s, Cycle at, const Flit& flit) {
+    InputVc& in = input_[s];
+    unsigned i = in.head + in.size;
+    if (i >= depth_) i -= depth_;
+    slots_[s * depth_ + i] = Slot{at, flit};
+    ++in.size;
+    occupied_ |= std::uint64_t{1} << s;
+    wake_ = std::min(wake_, at);
+    *work_word_ |= work_bit_;
   }
+  void send_credit(unsigned in_port, unsigned vc, Cycle now);
+  /// Count output VC `o`'s credit returns due by `now`; true when it then
+  /// holds a credit.
+  bool take_due_credits(unsigned o, Cycle now);
+  /// The busy-path body of tick(); recomputes wake_.
+  void allocate_and_switch(Cycle now);
+  /// Earliest front-flit arrival over the occupied input VCs (kNeverCycle
+  /// when empty).
+  [[nodiscard]] Cycle earliest_front() const;
 
   // tcmplint: snapshot-exempt (construction parameter, never mutates)
   NodeId id_;
   // tcmplint: snapshot-exempt (construction parameter, never mutates)
   Config cfg_;
+  // tcmplint: snapshot-exempt (derived from cfg_ at construction)
+  unsigned nvc_ = 0;    ///< VCs per port
+  // tcmplint: snapshot-exempt (derived from cfg_ at construction)
+  unsigned depth_ = 0;  ///< input ring and credit FIFO capacity
   StatRegistry* stats_;
   // tcmplint: snapshot-exempt (stat-name prefix derived at construction)
   std::string prefix_;
@@ -292,35 +328,27 @@ class Router {
   CounterRef flit_hops_;
   CounterRef bit_hops_;
   CounterRef bit_dmm_hops_;  ///< bits x link length (0.1 mm units)
-  unsigned buffered_ = 0;  ///< flits currently buffered (idle fast-path)
-  unsigned arrivals_pending_ = 0;  ///< flits in flight on any input link
-  /// next_deliver(), kept current: lowered by every push, recomputed after
-  /// each delivery, so tick() delivers only in cycles where something is due.
-  Cycle deliver_due_ = kNeverCycle;
+  /// Bit port * nvc_ + vc is set while that input VC's ring is non-empty.
+  std::uint64_t occupied_ = 0;
+  /// Earliest front-flit arrival (kNeverCycle when empty): lowered by every
+  /// flit write, recomputed after each switch.
+  Cycle wake_ = kNeverCycle;
   /// This router's bit in its partition's active set (set_work_bit).
   std::uint64_t* work_word_ = nullptr;
   // tcmplint: snapshot-exempt (wiring: bound by the network at construction)
   std::uint64_t work_bit_ = 0;
 
-  std::vector<std::vector<InputVc>> input_;  ///< [port][vc]
-  std::vector<OutputPort> output_;           ///< [port]
-  /// Each input port has exactly one upstream output port (fixed
-  /// link_cycles, at most one flit per cycle), so per-port link arrivals are
-  /// strictly monotone — a FIFO pipe, not a heap.
-  protocol::FifoDelayQueue<LinkArrival> arrivals_[kNumPorts];
-  /// Deliberately still a heap: one queue collects credits from ALL output
-  /// ports, whose link lengths differ (tree root vs leaf links), so
-  /// deadlines are not monotone.
-  protocol::DelayQueue<std::pair<unsigned, unsigned>> credit_returns_;  ///< (port, vc)
-  std::vector<Router*> upstream_of_input_ = std::vector<Router*>(kNumPorts, nullptr);
-  std::vector<unsigned> upstream_out_port_ = std::vector<unsigned>(kNumPorts, 0);
-  /// Non-null where the upstream of an input port is in another partition:
-  /// the reverse-direction boundary channel carrying this port's credits.
-  std::vector<BoundaryChannel*> upstream_cross_ =
-      std::vector<BoundaryChannel*>(kNumPorts, nullptr);
+  std::vector<InputVc> input_;    ///< [port * nvc_ + vc]
+  std::vector<Slot> slots_;       ///< [(port * nvc_ + vc) * depth_ + i]
+  std::vector<OutputVc> out_vcs_; ///< [port * nvc_ + vc]
+  std::vector<Cycle> credit_at_;  ///< [(port * nvc_ + vc) * depth_ + i]
+  OutputPort output_[kNumPorts];
+  // tcmplint: snapshot-exempt (wiring: set by the upstream's connect)
+  Upstream upstream_[kNumPorts];
   // Cold: only read on tail-flit switch traversals. Kept last so the hot
   // members above stay in the same cache lines as without observability.
   obs::Observer* obs_ = nullptr;
+  const PacketSlab* slab_ = nullptr;
 };
 
 }  // namespace tcmp::noc

@@ -4,8 +4,8 @@
 //
 // Two implementations with the same API:
 //   DelayQueue      — a heap; accepts deadlines in any order. Needed where a
-//                     single queue mixes latencies (e.g. router credit
-//                     returns across output ports of different lengths).
+//                     single queue mixes latencies (the protocol test
+//                     fabric's unordered wire).
 //   FifoDelayQueue  — a plain ring; requires monotone (non-decreasing)
 //                     deadlines, which holds for any pipe pushed with a
 //                     per-instance-constant latency at non-decreasing `now`

@@ -51,9 +51,10 @@ LineAddr Directory::line_of_key(DirKey key) const {
   return LineAddr{key.value() * n_nodes_ + id_};
 }
 
-void Directory::deliver(const CoherenceMsg& msg, Cycle now) {
-  now_ = now;
-  access_pipe_.push(now + cfg_.l2_latency, msg);
+Cycle Directory::deliver(const CoherenceMsg& msg, Cycle now) {
+  const Cycle due = now + cfg_.l2_latency;
+  access_pipe_.push(due, msg);
+  return due;
 }
 
 void Directory::tick(Cycle now) {

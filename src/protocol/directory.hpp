@@ -78,7 +78,8 @@ class Directory final {
             MsgSink sink);
 
   /// Network-side delivery; processing happens l2_latency cycles later.
-  void deliver(const CoherenceMsg& msg, Cycle now);
+  /// Returns that cycle, at which tick() next has work.
+  Cycle deliver(const CoherenceMsg& msg, Cycle now);
 
   /// Advance internal pipelines (delayed L2 accesses, memory fills).
   void tick(Cycle now);
@@ -149,6 +150,7 @@ class Directory final {
   /// Checkpoint serialization (common/snapshot.hpp): the directory array
   /// (entries with their pending queues), both latency pipes, in-flight
   /// memory transactions, the off-chip version map and occupancy gauges.
+  /// The clock is not state: tick() sets it before anything reads it.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
     ar.section("dir");
@@ -162,7 +164,6 @@ class Directory final {
     ar.field(memory_versions_);
     ar.field(busy_lines_);
     ar.field(queued_msgs_);
-    ar.field(now_);
   }
 
  private:
@@ -263,6 +264,8 @@ class Directory final {
   std::unordered_map<LineAddr, std::uint32_t> memory_versions_;
   unsigned busy_lines_ = 0;    ///< dir entries in a Busy* state
   unsigned queued_msgs_ = 0;   ///< requests parked on busy lines / fills
+  /// The cycle of the running tick (read only inside it, by start_fill).
+  // tcmplint: snapshot-exempt (set by every tick before it is read)
   Cycle now_{0};
   // Interned stat handles (hot path: every processed message).
   CounterRef l2_accesses_;

@@ -7,9 +7,12 @@
 // rationale and workloads/apps.cpp for per-application notes.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace tcmp::workloads {
 
@@ -67,7 +70,15 @@ struct AppParams {
     return static_cast<std::uint64_t>(warmup_frac * static_cast<double>(ops_per_core));
   }
 
+  /// ops_per_core * factor is a finite, non-negative op count that fits in
+  /// 64 bits (scaled() checks it: the cast of any other value is undefined).
+  [[nodiscard]] bool scale_fits(double factor) const {
+    const double ops = static_cast<double>(ops_per_core) * factor;
+    return std::isfinite(ops) && ops >= 0 && ops < 0x1p64;
+  }
+
   [[nodiscard]] AppParams scaled(double factor) const {
+    TCMP_CHECK_MSG(scale_fits(factor), "scaled op count does not fit in 64 bits");
     AppParams p = *this;
     p.ops_per_core = static_cast<std::uint64_t>(static_cast<double>(ops_per_core) * factor);
     if (p.ops_per_core < 200) p.ops_per_core = 200;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -59,6 +60,19 @@ TEST(ArgParser, TypedFallbacksOnGarbage) {
   const auto p = parse({"--n=abc"});
   EXPECT_EQ(p.get_long("n", 7), 7);
   EXPECT_DOUBLE_EQ(p.get_double("n", 1.5), 1.5);
+}
+
+TEST(ArgParser, RejectsPartialAndOutOfRangeNumbers) {
+  const auto p = parse({"--a=4x", "--b=0.01x", "--c=99999999999999999999", "--d=1e999",
+                        "--e=", "--f=12", "--g=2.5"});
+  EXPECT_EQ(p.get_long("a", 7), 7);
+  EXPECT_DOUBLE_EQ(p.get_double("b", 1.5), 1.5);
+  EXPECT_EQ(p.get_long("c", 7), 7);
+  EXPECT_DOUBLE_EQ(p.get_double("d", 1.5), 1.5);
+  EXPECT_EQ(p.get_long("e", 7), 7);
+  EXPECT_EQ(p.get_long("f", 7), 12);
+  EXPECT_DOUBLE_EQ(p.get_double("g", 1.5), 2.5);
+  EXPECT_EQ(p.rejected(), (std::set<std::string>{"a", "b", "c", "d", "e"}));
 }
 
 // --- trace workload ---
@@ -203,6 +217,14 @@ TEST(TcmpsimCli, RefusesMissingReplayFile) {
 TEST(TcmpsimCli, RefusesUnknownFormat) { expect_refused("--format xml", "--format"); }
 TEST(TcmpsimCli, RefusesCheckpointAtWithoutOut) {
   expect_refused("--checkpoint-at 100", "--checkpoint-out");
+}
+TEST(TcmpsimCli, RefusesScaleWithTrailingJunk) { expect_refused("--scale 0.01x", "--scale"); }
+TEST(TcmpsimCli, RefusesNonNumericTiles) { expect_refused("--tiles abc", "--tiles"); }
+TEST(TcmpsimCli, RefusesThreadsPastUnsignedRange) {
+  expect_refused("--threads 4294967296", "--threads");
+}
+TEST(TcmpsimCli, RefusesScaleWhoseOpCountOverflows) {
+  expect_refused("--app FFT --scale 1e20", "--scale");
 }
 
 }  // namespace

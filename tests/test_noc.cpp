@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 #include <cstdint>
@@ -274,6 +275,10 @@ struct LoadPoint {
   double injection_rate;  ///< packets per node per cycle
   unsigned cycles;
 };
+// Test names print the point, not its bytes (padding included).
+void PrintTo(const LoadPoint& p, std::ostream* os) {
+  *os << "rate " << p.injection_rate << " for " << p.cycles << " cycles";
+}
 
 class NetworkLoad : public ::testing::TestWithParam<LoadPoint> {};
 
@@ -419,9 +424,10 @@ struct WorkSetCase {
 
 // Random multi-flit traffic on every channel and vnet, driven through the
 // partition lockstep the system driver uses. After every cycle no router
-// outside its partition's active set may hold work and no injection lane
-// outside the busy set may hold a packet: a missed wake site would leave
-// work that is never ticked.
+// outside its partition's active set may hold a flit, no injection lane
+// outside the busy set may hold a packet, and no router's wake may be later
+// than a front flit's arrival: a missed wake site would leave work that is
+// never ticked. Once drained, every packet slab is empty.
 void check_work_sets(const WorkSetCase& c) {
   SCOPED_TRACE(c.name);
   NocConfig cfg;
@@ -464,6 +470,7 @@ void check_work_sets(const WorkSetCase& c) {
   }
   EXPECT_EQ(delivered, sent);
   EXPECT_GT(sent, 1000u);
+  EXPECT_EQ(net.live_packets(), 0u);
 }
 
 TEST(WorkSets, EveryWakeSiteIsCovered) {

@@ -25,6 +25,8 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "compression/scheme.hpp"
+#include "workloads/app_params.hpp"
 #include "workloads/synthetic_app.hpp"
 #include "workloads/trace_io.hpp"
 
@@ -147,6 +149,19 @@ TEST(SnapshotArchiveDeathTest, RefusesVersionOneStreams) {
   EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
 }
 
+TEST(SnapshotArchiveDeathTest, RefusesVersionTwoStreams) {
+  // Version 2 stored whole messages in every flit, link-arrival pipes and
+  // one credit heap per router; version 3 stores routing-record flits,
+  // packet slabs and per-output-VC credit FIFOs.
+  std::stringstream buf;
+  SnapshotWriter w(buf);
+  w.raw_bytes(snapshot_detail::kMagic, sizeof snapshot_detail::kMagic);
+  w.raw_u64(2);
+  w.field(std::string("x"));
+  SnapshotReader r(buf);
+  EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
+}
+
 // ---- full-system checkpoint/restore --------------------------------------
 
 struct FinalReport {
@@ -180,13 +195,16 @@ void expect_identical(const FinalReport& a, const FinalReport& b) {
   EXPECT_EQ(a.counters.size(), b.counters.size());
 }
 
-/// Flits buffered in routers and flits in flight on links, over every plane.
-std::pair<unsigned, unsigned> flits_in_network(const noc::Network& net) {
+/// Flits buffered in routers and flits in flight on links at the end of the
+/// system's current cycle, over every plane.
+std::pair<unsigned, unsigned> flits_in_network(const cmp::CmpSystem& system) {
+  const noc::Network& net = system.network();
   unsigned buffered = 0, on_links = 0;
   for (unsigned c = 0; c < net.num_channels(); ++c) {
     for (unsigned i = 0; i < net.router_count(c); ++i) {
-      buffered += net.router(c, i).buffered_flits();
-      on_links += net.router(c, i).flits_on_links();
+      const auto census = net.router(c, i).census(system.total_cycles());
+      buffered += census.buffered;
+      on_links += census.on_links;
     }
   }
   return {buffered, on_links};
@@ -208,7 +226,7 @@ void check_restore_identity(unsigned threads) {
   cmp::CmpSystem saver(cfg, fft_small(cfg.n_tiles));
   ASSERT_FALSE(saver.run(Cycle{30'000}));  // mid-run: must not have finished
   for (;;) {
-    const auto [buffered, on_links] = flits_in_network(saver.network());
+    const auto [buffered, on_links] = flits_in_network(saver);
     if (buffered > 0 && on_links > 0) break;
     ASSERT_LT(saver.total_cycles(), Cycle{40'000}) << "network never mid-flight";
     saver.step();
@@ -220,7 +238,9 @@ void check_restore_identity(unsigned threads) {
   cmp::CmpSystem restored(cfg, fft_small(cfg.n_tiles));
   restored.load_checkpoint(checkpoint);
   EXPECT_EQ(restored.total_cycles(), at);
-  EXPECT_EQ(flits_in_network(restored.network()), flits_in_network(saver.network()));
+  EXPECT_EQ(flits_in_network(restored), flits_in_network(saver));
+  EXPECT_TRUE(restored.network().work_sets_cover_work());
+  EXPECT_TRUE(restored.due_arrays_cover_work());
   ASSERT_TRUE(restored.run(Cycle{50'000'000}));
   expect_identical(full, harvest(restored));
 }
@@ -231,6 +251,55 @@ TEST(CheckpointRestore, FinalReportIdenticalSingleThread) {
 
 TEST(CheckpointRestore, FinalReportIdenticalFourThreads) {
   check_restore_identity(4);
+}
+
+// Wake sets of the whole machine: every cycle of a seeded-random CMP run at
+// K partitions — before a mid-run checkpoint taken with flits both buffered
+// and on links, right after restoring it into a fresh system, and every
+// cycle of the restored run to its end — no router, lane, directory or
+// loopback with pending work may be left out of its partition's work set or
+// be due later than its next event. A missed wake site leaves work that is
+// never run. Once the machine drains, every packet slab is empty.
+void check_cmp_wake_sets(unsigned threads) {
+  SCOPED_TRACE(threads);
+  auto cfg = cmp::CmpConfig::heterogeneous(compression::SchemeConfig::dbrc(4, 2));
+  cfg.threads = threads;
+  auto params = workloads::app("MP3D").scaled(0.01);
+  params.seed = 20;
+  const auto make = [&] {
+    return std::make_unique<cmp::CmpSystem>(
+        cfg, std::make_shared<workloads::SyntheticApp>(params, cfg.n_tiles));
+  };
+  const auto covered = [](const cmp::CmpSystem& s) {
+    return s.network().work_sets_cover_work() && s.due_arrays_cover_work();
+  };
+
+  auto saver = make();
+  ASSERT_TRUE(covered(*saver));
+  for (;;) {
+    saver->step();
+    ASSERT_TRUE(covered(*saver)) << "cycle " << saver->total_cycles().value();
+    const auto [buffered, on_links] = flits_in_network(*saver);
+    if (saver->total_cycles() > Cycle{2'000} && buffered > 0 && on_links > 0) break;
+    ASSERT_LT(saver->total_cycles(), Cycle{20'000}) << "network never mid-flight";
+  }
+  std::stringstream checkpoint;
+  saver->save_checkpoint(checkpoint);
+
+  auto restored = make();
+  restored->load_checkpoint(checkpoint);
+  ASSERT_TRUE(covered(*restored)) << "right after the load";
+  while (!restored->finished()) {
+    ASSERT_LT(restored->total_cycles(), Cycle{1'000'000}) << "run did not finish";
+    restored->step();
+    ASSERT_TRUE(covered(*restored)) << "cycle " << restored->total_cycles().value();
+  }
+  EXPECT_EQ(restored->network().live_packets(), 0u);
+}
+
+TEST(WakeSets, EveryCmpWakeSiteIsCoveredAcrossRestore) {
+  check_cmp_wake_sets(1);
+  check_cmp_wake_sets(2);
 }
 
 TEST(CheckpointRestore, SaveIsByteDeterministic) {

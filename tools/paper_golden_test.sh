@@ -4,7 +4,7 @@
 # --jobs 1 and at --jobs 4. The golden is the concatenated stdout of the
 # fifteen per-table binaries the driver replaced, so a table that merges two
 # distinct runs, or renders from the wrong one, fails here. An unknown table
-# or option, or --jobs 0, must exit 2.
+# or option, --jobs 0, or a --jobs value with trailing junk must exit 2.
 #
 # Usage: paper_golden_test.sh <paper-binary> <golden-file>
 set -u
@@ -28,7 +28,7 @@ for jobs in 1 4; do
   fi
 done
 # Bad arguments are refused with exit 2 before anything runs.
-for args in "no-such-table" "--jobs 0" "--no-such-option"; do
+for args in "no-such-table" "--jobs 0" "--jobs 4x" "--no-such-option"; do
   # shellcheck disable=SC2086
   "$paper" $args > /dev/null 2>&1
   status=$?

@@ -16,8 +16,9 @@
 //                         CmpConfig::with_tiles picks: 16 (4x4), 32 (8x4),
 //                         64 (8x8), 128 (16x8), 256 (16x16), ... (default 16)
 //   --threads N           worker threads for the partitioned driver
-//                         (default 1; see docs/partitioning.md)
-//   --scale F             workload scale, finite and > 0 (default 1.0)
+//                         (1..256, default 1; see docs/partitioning.md)
+//   --scale F             workload scale, finite and > 0, whose scaled
+//                         op counts fit in 64 bits (default 1.0)
 //   --reply-partitioning  enable the Reply Partitioning extension
 //   --three-stage-router  use the 3-stage router pipeline
 //   --format F            text | csv | json (default text)
@@ -258,6 +259,15 @@ bool is_binary_trace(const std::string& path) {
                                  std::begin(workloads::kTraceMagic));
 }
 
+/// A numeric option whose value is not entirely a number of its type: say
+/// which, and refuse the run.
+bool refuse_malformed(const ArgParser& args) {
+  if (args.rejected().empty()) return false;
+  std::fprintf(stderr, "--%s: not a number of the option's type, or out of its range\n",
+               args.rejected().begin()->c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,8 +306,11 @@ int main(int argc, char** argv) {
   const long vl = args.get_long("vl", o.vl);
   const long tiles = args.get_long("tiles", o.tiles);
   const long threads = args.get_long("threads", o.threads);
-  if (threads < 1) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
+  if (refuse_malformed(args)) return 2;
+  // A partition is at least one mesh row, so more threads than tiles can
+  // never be used.
+  if (threads < 1 || threads > static_cast<long>(NodeSet::kMaxNodes)) {
+    std::fprintf(stderr, "--threads must be 1..%u\n", NodeSet::kMaxNodes);
     return 2;
   }
   if (!tiles_fill_the_mesh(tiles)) {
@@ -346,6 +359,7 @@ int main(int argc, char** argv) {
   o.obs_level = args.get_long("obs-level", o.obs_level);
   o.sample_interval = args.get_long("sample-interval", o.sample_interval);
   o.verify_interval = args.get_long("verify-interval", o.verify_interval);
+  if (refuse_malformed(args)) return 2;
   if (o.verify_interval < 0) {
     std::fprintf(stderr, "--verify-interval must be >= 0\n");
     return 2;
@@ -432,6 +446,15 @@ int main(int argc, char** argv) {
     for (const auto& a : workloads::all_apps()) apps.push_back(a.name);
   } else {
     apps.push_back(o.app);
+  }
+  for (const auto& name : apps) {
+    if (o.replay.empty() && !workloads::app(name).scale_fits(o.scale)) {
+      std::fprintf(stderr,
+                   "--scale %g: %s's operation count (ops per core x scale) "
+                   "does not fit in 64 bits\n",
+                   o.scale, name.c_str());
+      return 2;
+    }
   }
 
   // Observers (tracing, time series) are a single-threaded feature; the
