@@ -2,7 +2,8 @@
 // and the table header (paper, mesh_smoke), and the perf microbenches' one
 // option, `--json FILE`, with its metrics-document writer. TCMP_SCALE scales
 // every workload's operation count (1.0 = the calibrated default used in
-// EXPERIMENTS.md; smaller values give quick smoke runs).
+// EXPERIMENTS.md; smaller values give quick smoke runs); a value that is not
+// entirely a number exits 2 naming it.
 #pragma once
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +27,13 @@
 namespace tcmp::bench {
 
 [[nodiscard]] inline double workload_scale() {
-  return env_double("TCMP_SCALE", 1.0);
+  const std::optional<double> scale = env_double("TCMP_SCALE", 1.0);
+  if (!scale) {
+    std::fprintf(stderr, "TCMP_SCALE: '%s' is not entirely a number, or is out of range\n",
+                 std::getenv("TCMP_SCALE"));
+    std::exit(2);
+  }
+  return *scale;
 }
 
 /// Run one application under one configuration to completion; `hook`, when

@@ -30,6 +30,7 @@
 #include "compression/hw_cost.hpp"
 #include "power/cacti_mini.hpp"
 #include "wire/link_design.hpp"
+#include "wire/technology.hpp"
 #include "wire/wire_spec.hpp"
 
 using namespace tcmp;
@@ -272,6 +273,11 @@ void render_table1(const Grid&) {
               "the cacti_mini fit (endpoints calibrated, midpoints within ~35%%).\n");
 }
 
+/// Cycles a wire class takes over one mesh link at the technology clock.
+unsigned mesh_link_cycles(const wire::WireSpec& w) {
+  return w.link_cycles(wire::kLinkLengthMm, wire::TechParams::itrs65().freq);
+}
+
 void render_table2(const Grid&) {
   using wire::WireClass;
   std::printf("=== Table 2: wire implementations at 65 nm (model vs paper) ===\n\n");
@@ -300,8 +306,7 @@ void render_table2(const Grid&) {
   for (WireClass cls :
        {WireClass::kB8X, WireClass::kB4X, WireClass::kL8X, WireClass::kPW4X}) {
     const wire::WireSpec paper = wire::paper_spec(cls);
-    std::printf("  %-16s %u cycles\n", paper.name.c_str(),
-                paper.link_cycles(5.0, units::hertz(4e9)));
+    std::printf("  %-16s %u cycles\n", paper.name.c_str(), mesh_link_cycles(paper));
   }
 }
 
@@ -318,7 +323,7 @@ void render_table3(const Grid&) {
                TextTable::fmt(paper.dyn_power.value(), 2),
                TextTable::fmt(model.static_power.value(), 3),
                TextTable::fmt(paper.static_power.value(), 3),
-               std::to_string(paper.link_cycles(5.0, units::hertz(4e9)))});
+               std::to_string(mesh_link_cycles(paper))});
   }
   std::printf("%s\n", t.str().c_str());
 

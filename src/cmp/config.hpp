@@ -5,10 +5,7 @@
 
 #include <string>
 
-#include "common/units.hpp"
 #include "compression/scheme.hpp"
-#include "power/chip_power.hpp"
-#include "power/orion_mini.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/l1_cache.hpp"
 #include "noc/network.hpp"
@@ -16,6 +13,11 @@
 
 namespace tcmp::cmp {
 
+/// What a run may vary. The machine itself is fixed (Table 4): the clock is
+/// wire::TechParams::itrs65().freq, links are wire::kLinkLengthMm long,
+/// routers have noc::kVcsPerPort VCs of noc::kVcDepth flits per port, and
+/// the report charges the default power::RouterEnergyModel and
+/// power::ChipPowerModel.
 struct CmpConfig {
   unsigned n_tiles = 16;
   unsigned mesh_width = 4;
@@ -34,8 +36,6 @@ struct CmpConfig {
   wire::LinkPartition link = wire::baseline_link();
 
   noc::Topology topology = noc::Topology::kMesh2D;
-  unsigned vcs_per_vnet = 1;
-  unsigned buffer_flits = 4;
   /// Single-cycle routers (lookahead routing + speculative allocation), the
   /// aggressive design point of the paper's era; false = 3-stage pipeline
   /// (see `paper router-pipeline`, bench/paper.cpp).
@@ -44,13 +44,7 @@ struct CmpConfig {
   /// configuration (`paper reply-partitioning`, bench/paper.cpp).
   bool reply_partitioning = false;
 
-  units::Hertz freq = units::hertz(4e9);
-  double link_length_mm = 5.0;  // tcmplint: allow-raw-unit (paper config units)
-  Cycle warmup_memory_latency{40};  ///< memory latency during cache warmup
-  double switching_activity = 0.5;   ///< alpha for link dynamic energy
-
-  power::RouterEnergyModel router_energy{};
-  power::ChipPowerModel chip_power{};
+  double switching_activity = 0.5;  ///< alpha for link dynamic energy
 
   [[nodiscard]] bool heterogeneous() const { return link.heterogeneous(); }
   [[nodiscard]] std::string name() const;

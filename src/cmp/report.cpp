@@ -1,8 +1,11 @@
 #include "cmp/report.hpp"
 
 #include "compression/hw_cost.hpp"
+#include "power/chip_power.hpp"
 #include "power/metrics.hpp"
+#include "power/orion_mini.hpp"
 #include "protocol/coherence_msg.hpp"
+#include "wire/technology.hpp"
 
 namespace tcmp::cmp {
 
@@ -30,25 +33,25 @@ RunResult make_result(const CmpSystem& system, const StatRegistry& stats,
                       Cycle cycles, std::uint64_t instructions,
                       std::uint64_t compression_accesses) {
   const CmpConfig& cfg = system.config();
+  const units::Hertz freq = wire::TechParams::itrs65().freq;
   RunResult r;
   r.configuration = cfg.name();
   r.cycles = cycles;
-  r.seconds = static_cast<double>(r.cycles.value()) / cfg.freq;
+  r.seconds = static_cast<double>(r.cycles.value()) / freq;
   r.instructions = instructions;
 
   // --- links: dynamic from toggled wire-length, static from geometry x time.
-  // Wire lengths and router counts come from the network itself so both the
-  // mesh and tree topologies account correctly.
+  // Channels, wire lengths and router counts come from the network itself so
+  // both the mesh and tree topologies account correctly.
   const noc::Network& net = system.network();
-  const auto channels = noc::make_channels(cfg.link, cfg.link_length_mm, cfg.freq);
-  for (unsigned c = 0; c < channels.size(); ++c) {
-    const auto& ch = channels[c];
+  for (unsigned c = 0; c < net.num_channels(); ++c) {
+    const noc::ChannelSpec& ch = net.channel(c);
     // bit_dmm_hops: toggled bits x traversed link length, in 0.1 mm units.
     const auto bit_dmm = static_cast<double>(
         stats.counter_value("noc." + ch.name + ".bit_dmm_hops"));
     const units::Meters toggled{bit_dmm * 1e-4 /*m per dmm*/};
     const units::Joules e_dyn =
-        toggled * ch.wires.dyn_power / cfg.freq * cfg.switching_activity;
+        toggled * ch.wires.dyn_power / freq * cfg.switching_activity;
     r.energy.add(EnergyAccount::kLinkDynamic, e_dyn);
 
     const double wires = static_cast<double>(ch.width_bits());
@@ -58,34 +61,34 @@ RunResult make_result(const CmpSystem& system, const StatRegistry& stats,
   }
 
   // --- routers: Orion-mini per-traversal events + leakage ---
-  for (unsigned c = 0; c < channels.size(); ++c) {
-    const auto& ch = channels[c];
+  const power::RouterEnergyModel router_energy{};
+  for (unsigned c = 0; c < net.num_channels(); ++c) {
+    const noc::ChannelSpec& ch = net.channel(c);
     const auto traversals = static_cast<double>(
         stats.counter_value("noc." + ch.name + ".router_traversals"));
     const unsigned bits = ch.width_bits();
     r.energy.add(EnergyAccount::kRouterBuffer,
-                 traversals * (cfg.router_energy.buffer_write_energy(bits) +
-                               cfg.router_energy.buffer_read_energy(bits)));
+                 traversals * (router_energy.buffer_write_energy(bits) +
+                               router_energy.buffer_read_energy(bits)));
     r.energy.add(EnergyAccount::kRouterCrossbar,
-                 traversals * cfg.router_energy.crossbar_energy(bits));
+                 traversals * router_energy.crossbar_energy(bits));
     r.energy.add(EnergyAccount::kRouterArbiter,
-                 traversals * cfg.router_energy.arbitration_per_flit);
-    const units::Watts leak = cfg.router_energy.router_leakage(
-        noc::kNumPorts, protocol::kNumVnets * cfg.vcs_per_vnet, cfg.buffer_flits,
-        bits);
+                 traversals * router_energy.arbitration_per_flit);
+    const units::Watts leak = router_energy.router_leakage(
+        noc::kNumPorts, noc::kVcsPerPort, noc::kVcDepth, bits);
     r.energy.add(EnergyAccount::kRouterStatic,
                  leak * net.router_count(c) * r.seconds);
   }
 
   // --- compression hardware ---
-  const auto hw = compression::scheme_hw_cost(cfg.scheme, cfg.n_tiles, cfg.freq);
+  const auto hw = compression::scheme_hw_cost(cfg.scheme, cfg.n_tiles);
   r.energy.add(EnergyAccount::kCompressionDynamic,
                static_cast<double>(compression_accesses) * hw.access_energy);
   r.energy.add(EnergyAccount::kCompressionStatic,
                hw.leakage_per_core * cfg.n_tiles * r.seconds);
 
   // --- cores, caches, memory (Fig. 7 denominator) ---
-  const auto& cp = cfg.chip_power;
+  const power::ChipPowerModel cp{};
   r.energy.add(EnergyAccount::kCoreDynamic,
                static_cast<double>(r.instructions) * cp.core_energy_per_instr);
   r.energy.add(EnergyAccount::kCoreStatic,

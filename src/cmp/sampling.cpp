@@ -1,8 +1,10 @@
 #include "cmp/sampling.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <string>
+#include <system_error>
 
 #include "common/check.hpp"
 #include "core/core_model.hpp"
@@ -21,23 +23,17 @@ constexpr std::uint64_t kTurnInstructions = 256;
 /// quiescent point within this many cycles has a stuck transaction.
 constexpr std::uint64_t kDrainLimitCycles = 1'000'000;
 
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  std::size_t used = 0;
-  std::uint64_t out = 0;
-  try {
-    out = std::stoull(v, &used);
-  } catch (...) {
-    used = 0;
-  }
-  TCMP_CHECK_MSG(used == v.size() && !v.empty(),
-                 "--sample: bad numeric value (warmup/detail/period)");
-  (void)key;
-  return out;
+/// All of `v` as a decimal count (no sign, no junk, in range).
+bool parse_u64(const std::string& v, std::uint64_t& out) {
+  const char* const end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, out);
+  return !v.empty() && ec == std::errc{} && stop == end;
 }
 
 }  // namespace
 
-SamplingConfig SamplingConfig::parse(const std::string& spec) {
+std::optional<SamplingConfig> SamplingConfig::parse(const std::string& spec,
+                                                    std::string& why) {
   SamplingConfig cfg;
   std::size_t at = 0;
   while (at < spec.size()) {
@@ -47,26 +43,39 @@ SamplingConfig SamplingConfig::parse(const std::string& spec) {
     at = comma + 1;
     if (item.empty()) continue;
     const std::size_t eq = item.find('=');
-    TCMP_CHECK_MSG(eq != std::string::npos,
-                   "--sample: expected key=value items");
+    if (eq == std::string::npos) {
+      why = "expected key=value items, got '" + item + "'";
+      return std::nullopt;
+    }
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     if (key == "mode") {
-      TCMP_CHECK_MSG(val == "interval",
-                     "--sample: the only supported mode is 'interval'");
-    } else if (key == "warmup") {
-      cfg.warmup = Cycle{parse_u64(key, val)};
+      if (val == "interval") continue;
+      why = "the only supported mode is 'interval'";
+      return std::nullopt;
+    }
+    if (key != "warmup" && key != "detail" && key != "period") {
+      why = "unknown key '" + key + "' (mode, warmup, detail, period)";
+      return std::nullopt;
+    }
+    std::uint64_t n = 0;
+    if (!parse_u64(val, n)) {
+      why = key + " must be a whole number of " +
+            (key == "warmup" ? "cycles" : "instructions") + ", not '" + val + "'";
+      return std::nullopt;
+    }
+    if (key == "warmup") {
+      cfg.warmup = Cycle{n};
     } else if (key == "detail") {
-      cfg.detail = parse_u64(key, val);
-    } else if (key == "period") {
-      cfg.period = parse_u64(key, val);
+      cfg.detail = n;
     } else {
-      TCMP_CHECK_MSG(false,
-                     "--sample: unknown key (mode, warmup, detail, period)");
+      cfg.period = n;
     }
   }
-  TCMP_CHECK_MSG(cfg.detail > 0, "--sample: detail must be > 0");
-  TCMP_CHECK_MSG(cfg.period > 0, "--sample: period must be > 0");
+  if (cfg.detail == 0 || cfg.period == 0) {
+    why = cfg.detail == 0 ? "detail must be > 0" : "period must be > 0";
+    return std::nullopt;
+  }
   return cfg;
 }
 

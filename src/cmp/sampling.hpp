@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,10 @@ struct SamplingConfig {
   std::uint64_t period = 200'000;
 
   /// Parse "mode=interval,warmup=W,detail=D,period=P" (mode optional; the
-  /// only supported mode is "interval"). Aborts on unknown keys/bad values.
-  static SamplingConfig parse(const std::string& spec);
+  /// only supported mode is "interval"; omitted keys keep their defaults).
+  /// An unknown key, a value that is not a whole count, or a zero detail or
+  /// period returns nullopt with the reason in `why`.
+  static std::optional<SamplingConfig> parse(const std::string& spec, std::string& why);
 };
 
 /// Outcome of a sampled run: measured-window aggregates plus the

@@ -21,6 +21,10 @@ using protocol::CoherenceMsg;
 
 namespace {
 
+/// Off-chip latency while the functional warmup fills the caches; the
+/// measured phase runs at CmpConfig::l2.memory_latency.
+constexpr Cycle kWarmupMemoryLatency{40};
+
 /// Keep freed heap memory in the process for the next system. Sweeps build
 /// systems back to back, one alive at a time, and a system's directory
 /// arrays alone take 1 MiB per tile. glibc's default policy hands the top of
@@ -85,12 +89,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
   ncfg.width = cfg_.mesh_width;
   ncfg.height = cfg_.mesh_height;
   ncfg.topology = cfg_.topology;
-  ncfg.channels = noc::make_channels(cfg_.link, cfg_.link_length_mm, cfg_.freq);
-  ncfg.vcs_per_vnet = cfg_.vcs_per_vnet;
-  ncfg.buffer_flits = cfg_.buffer_flits;
+  ncfg.channels = noc::make_channels(cfg_.link);
   ncfg.single_cycle_router = cfg_.single_cycle_router;
-  ncfg.link_length_mm = cfg_.link_length_mm;
-  ncfg.freq = cfg_.freq;
   network_ = std::make_unique<noc::Network>(ncfg, plan_, shards);
 
   at_barrier_.assign(cfg_.n_tiles, false);
@@ -100,21 +100,17 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     const auto id = static_cast<NodeId>(t);
     StatRegistry* const shard = shards[part_of_[t]];
     auto sink = [this, id](CoherenceMsg msg) { route_outgoing(id, msg); };
-    protocol::L1Cache::Config l1cfg = cfg_.l1;
-    protocol::Directory::Config l2cfg = cfg_.l2;
-    l1cfg.reply_partitioning = l2cfg.reply_partitioning = cfg_.reply_partitioning;
-    tile->l1 = std::make_unique<protocol::L1Cache>(id, l1cfg, cfg_.n_tiles,
-                                                   shard, sink);
-    tile->dir = std::make_unique<protocol::Directory>(id, l2cfg, cfg_.n_tiles,
-                                                      shard, sink);
+    tile->l1 = std::make_unique<protocol::L1Cache>(
+        id, cfg_.l1, cfg_.n_tiles, cfg_.reply_partitioning, shard, sink);
+    tile->dir = std::make_unique<protocol::Directory>(
+        id, cfg_.l2, cfg_.n_tiles, cfg_.reply_partitioning, shard, sink);
     tile->nic = std::make_unique<het::TileNic>(id, cfg_.scheme, cfg_.link.style,
                                                cfg_.n_tiles, network_.get(),
                                                shard);
     tile->l1i = std::make_unique<protocol::ICache>(id, protocol::ICache::Config{},
                                                    cfg_.n_tiles, shard, sink);
-    tile->core = std::make_unique<core::Core>(id, core::Core::Config{},
-                                              workload_.get(), tile->l1.get(),
-                                              shard);
+    tile->core = std::make_unique<core::Core>(id, workload_.get(),
+                                              tile->l1.get(), shard);
     tile->core->set_icache(tile->l1i.get(), workload_->code_lines());
     tile->core->set_barrier_handler(
         [this](unsigned c, std::uint32_t b) { on_barrier(c, b); });
@@ -153,7 +149,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
   if (workload_->has_warmup()) {
     // Functional warmup: fill caches quickly, then measure the steady
     // parallel phase at the real memory latency.
-    for (auto& t : tiles_) t->dir->set_memory_latency(cfg_.warmup_memory_latency);
+    for (auto& t : tiles_) t->dir->set_memory_latency(kWarmupMemoryLatency);
   } else {
     warmup_done_ = true;
   }

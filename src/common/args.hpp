@@ -16,15 +16,25 @@ class ArgParser {
   /// Parse argv; returns false (and fills error()) on malformed input.
   bool parse(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
+  /// The key was given, with or without a value.
+  [[nodiscard]] bool has(const std::string& key) const {
+    return values_.contains(key) || valueless_.contains(key);
+  }
+  /// The key's value, `fallback` when the key is absent. A key given with
+  /// no value (a trailing `--key`, or one followed by another option) also
+  /// reads as `fallback`, and joins rejected().
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
-  /// Typed values: `fallback` when the key is absent. A value that is not
-  /// entirely a number of the type (trailing junk, no digits, out of the
-  /// type's range) also reads as `fallback`, and its key joins rejected().
+  /// Typed values, read like get(). A value that is not entirely a number
+  /// of the type (trailing junk, no digits, out of the type's range) also
+  /// reads as `fallback`, and its key joins rejected().
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] long get_long(const std::string& key, long fallback) const;
-  /// Keys whose value get_double/get_long refused, so a tool can name them.
+  /// Keys whose value get/get_double/get_long refused, so a tool can name
+  /// them.
   [[nodiscard]] const std::set<std::string>& rejected() const { return rejected_; }
+  /// Why the first rejected() key was refused, as "--key: reason" ("" when
+  /// nothing was).
+  [[nodiscard]] std::string rejection() const;
   /// --flag with no value (or =true/=false).
   [[nodiscard]] bool get_flag(const std::string& key) const;
 
@@ -37,10 +47,20 @@ class ArgParser {
       const std::set<std::string>& known) const;
 
  private:
+  void set_value(const std::string& key, std::string value);
+  /// The value given for `key`: nullptr when absent, or valueless (which
+  /// joins rejected()).
+  [[nodiscard]] const std::string* value_of(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> valueless_;
   std::vector<std::string> positional_;
   std::string error_;
   mutable std::set<std::string> rejected_;
 };
+
+/// The number `text` spells when all of it parses and is in the range of a
+/// double; nullopt for trailing junk, no digits or a range error.
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
 
 }  // namespace tcmp

@@ -1,31 +1,22 @@
-// Environment-variable helpers used by benches to scale workload sizes
-// (e.g. TCMP_SCALE=0.25 for a quick smoke run) without rebuilding.
+// Environment-variable reader used by benches to scale workload sizes
+// (e.g. TCMP_SCALE=0.25 for a quick smoke run) without rebuilding. The one
+// sanctioned getenv wrapper (tcmplint ambient-nondeterminism).
 #pragma once
 
 #include <cstdlib>
-#include <string>
+#include <optional>
+
+#include "common/args.hpp"
 
 namespace tcmp {
 
-[[nodiscard]] inline double env_double(const char* name, double fallback) {
+/// Environment variable `name` as a number: `fallback` when unset or empty,
+/// nullopt when its value is not entirely a number (parse_double, the rule
+/// ArgParser applies to numeric options).
+[[nodiscard]] inline std::optional<double> env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end != v ? parsed : fallback;
-}
-
-[[nodiscard]] inline long env_long(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return end != v ? parsed : fallback;
-}
-
-[[nodiscard]] inline std::string env_string(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::string(v) : fallback;
+  return parse_double(v);
 }
 
 }  // namespace tcmp

@@ -53,8 +53,11 @@ namespace tcmp {
 /// Bumped when the stream layout changes incompatibly. Readers accept only
 /// their own version: there is no migration from older layouts (v1 carried
 /// a wake-calendar section v2 dropped; v3 stores flits as routing records
-/// with packet slabs and credit FIFOs; see docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+/// with packet slabs and credit FIFOs; v4 stores the router's fixed-size VC
+/// arrays without per-VC output indices or route flags, lanes without a VC,
+/// cores without a blocked-cycle copy and directories with their
+/// reply-partitioning switch; see docs/checkpointing.md).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 namespace snapshot_detail {
 

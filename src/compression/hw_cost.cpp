@@ -1,11 +1,11 @@
 #include "compression/hw_cost.hpp"
 
 #include "common/check.hpp"
+#include "wire/technology.hpp"
 
 namespace tcmp::compression {
 
-SchemeHwCost scheme_hw_cost(const SchemeConfig& cfg, unsigned n_nodes,
-                            units::Hertz freq) {
+SchemeHwCost scheme_hw_cost(const SchemeConfig& cfg, unsigned n_nodes) {
   SchemeHwCost cost;
   if (cfg.kind == SchemeKind::kNone || cfg.kind == SchemeKind::kPerfect) {
     return cost;  // no hardware (Perfect is an oracle bound)
@@ -31,7 +31,7 @@ SchemeHwCost scheme_hw_cost(const SchemeConfig& cfg, unsigned n_nodes,
   cost.leakage_per_core = cost.structures_per_core * one.leakage;
   cost.access_energy = one.access_energy;
   cost.max_dyn_power_per_core =
-      cost.structures_per_core * one.access_energy * freq;
+      cost.structures_per_core * one.access_energy * wire::TechParams::itrs65().freq;
   return cost;
 }
 

@@ -23,8 +23,8 @@ struct SchemeHwCost {
 
 /// Cost using the paper's hardware inventory: per message class, 1 sending
 /// structure + n_nodes receiving structures per core, each of
-/// `entries * 8 bytes` (DBRC) or one 8-byte register (Stride).
-[[nodiscard]] SchemeHwCost scheme_hw_cost(const SchemeConfig& cfg, unsigned n_nodes,
-                                          units::Hertz freq = units::hertz(4e9));
+/// `entries * 8 bytes` (DBRC) or one 8-byte register (Stride), clocked at
+/// wire::TechParams::itrs65().freq.
+[[nodiscard]] SchemeHwCost scheme_hw_cost(const SchemeConfig& cfg, unsigned n_nodes);
 
 }  // namespace tcmp::compression

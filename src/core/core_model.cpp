@@ -6,9 +6,8 @@
 
 namespace tcmp::core {
 
-Core::Core(NodeId id, const Config& cfg, Workload* workload, protocol::L1Cache* l1,
-           StatRegistry* stats)
-    : id_(id), cfg_(cfg), workload_(workload), l1_(l1), stats_(stats) {
+Core::Core(NodeId id, Workload* workload, protocol::L1Cache* l1, StatRegistry* stats)
+    : id_(id), workload_(workload), l1_(l1), stats_(stats) {
   TCMP_CHECK(workload_ != nullptr && l1_ != nullptr && stats_ != nullptr);
   blocked_counter_ = stats_->counter_ref("core.blocked_cycles");
   ifetch_stalls_ = stats_->counter_ref("core.ifetch_stalls");
@@ -20,7 +19,6 @@ void Core::account_idle(Cycle n) {
   TCMP_DCHECK(!runnable() || drained());
   // tick() is a pure no-op for a done or fence-parked core: no accounting.
   if (drained()) return;
-  blocked_cycles_ += n;
   blocked_counter_ += n.value();
 }
 
@@ -58,7 +56,7 @@ void Core::warm_advance_istream(std::uint64_t n) {
       if (!have_pending_line_) pending_code_line_ = next_code_line();
       have_pending_line_ = false;
       icache_->warm_install(pending_code_line_);
-      ifetch_budget_ = cfg_.ifetch_interval;
+      ifetch_budget_ = kIfetchInterval;
     }
     const auto step = std::min<std::uint64_t>(n, ifetch_budget_);
     ifetch_budget_ -= static_cast<unsigned>(step);
@@ -90,7 +88,6 @@ void Core::tick(Cycle now) {
   (void)now;
   if (done_) return;
   if (wait_fill_ || wait_barrier_ || wait_ifetch_) {
-    ++blocked_cycles_;
     ++blocked_counter_;
     return;
   }
@@ -108,10 +105,10 @@ void Core::tick(Cycle now) {
       return;
     }
     have_pending_line_ = false;
-    ifetch_budget_ = cfg_.ifetch_interval;
+    ifetch_budget_ = kIfetchInterval;
   }
 
-  for (unsigned slot = 0; slot < cfg_.issue_width; ++slot) {
+  for (unsigned slot = 0; slot < kIssueWidth; ++slot) {
     if (compute_left_ > 0) {
       --compute_left_;
       ++instructions_;

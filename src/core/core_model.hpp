@@ -1,5 +1,5 @@
 // In-order 2-way core timing model (Table 4). The core retires up to
-// `issue_width` instructions per cycle; a memory instruction that misses in
+// kIssueWidth instructions per cycle; a memory instruction that misses in
 // the L1 blocks the pipeline until the fill returns (loads and stores both
 // block: in-order issue with no store buffer, the conservative model also
 // used by RSIM's simple-core mode).
@@ -40,17 +40,15 @@ struct StallSnapshot {
 
 class Core final {
  public:
-  struct Config {
-    unsigned issue_width = 2;
-    /// Instructions per I-cache line (64 B / ~4 B per instruction).
-    unsigned ifetch_interval = 16;
-  };
+  /// Instructions retired per cycle at most.
+  static constexpr unsigned kIssueWidth = 2;
+  /// Instructions per I-cache line (64 B / ~4 B per instruction).
+  static constexpr unsigned kIfetchInterval = 16;
 
   /// `on_barrier(core, id)` must eventually be answered by barrier_release().
   using BarrierFn = std::function<void(unsigned core, std::uint32_t id)>;
 
-  Core(NodeId id, const Config& cfg, Workload* workload, protocol::L1Cache* l1,
-       StatRegistry* stats);
+  Core(NodeId id, Workload* workload, protocol::L1Cache* l1, StatRegistry* stats);
 
   void set_barrier_handler(BarrierFn fn) { on_barrier_ = std::move(fn); }
 
@@ -149,15 +147,11 @@ class Core final {
   /// the parallel phase; when a barrier release within the same cycle would
   /// have unblocked this core before its serial turn, the blocked tick is
   /// undone here and the core re-ticked after the release.
-  void undo_blocked_tick() {
-    TCMP_DCHECK(blocked_cycles_ > Cycle{0});
-    blocked_cycles_ = blocked_cycles_ - Cycle{1};
-    --blocked_counter_;
-  }
+  void undo_blocked_tick() { --blocked_counter_; }
 
   /// Checkpoint serialization (common/snapshot.hpp): the full execution
-  /// cursor — front-end state, in-progress op, wait flags, instruction and
-  /// blocked-cycle totals, and the PC random stream.
+  /// cursor — front-end state, in-progress op, wait flags, the instruction
+  /// total and the PC random stream.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
     ar.section("core");
@@ -178,14 +172,11 @@ class Core final {
     ar.field(has_op_);
     ar.field(op_);
     ar.field(instructions_);
-    ar.field(blocked_cycles_);
     ar.field(fenced_);
   }
 
  private:
   NodeId id_;
-  // tcmplint: snapshot-exempt (construction parameter, never mutates)
-  Config cfg_;
   Workload* workload_;
   protocol::L1Cache* l1_;
   StatRegistry* stats_;
@@ -212,7 +203,6 @@ class Core final {
   bool has_op_ = false;
   Op op_{};
   std::uint64_t instructions_ = 0;
-  Cycle blocked_cycles_{0};
   bool fenced_ = false;  ///< sampling fence: park at the next op boundary
   // Interned stat handles (hot path: every ticked cycle).
   CounterRef blocked_counter_;

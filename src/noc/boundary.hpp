@@ -41,16 +41,15 @@ class BoundaryChannel {
   /// crossed the switch of an upstream router whose link leads into `router`
   /// (owned by the consuming partition). A tail takes its packet record out
   /// of the producer's slab.
-  void push_flit(Router* router, unsigned port, unsigned vc, Cycle at,
-                 const Flit& flit) {
-    FlitEvent& e = pending_flits_.emplace_back(FlitEvent{router, port, vc, at, flit, {}});
+  void push_flit(Router* router, unsigned port, Cycle at, const Flit& flit) {
+    FlitEvent& e = pending_flits_.emplace_back(FlitEvent{router, port, at, flit, {}});
     if (flit.tail) e.packet = producer_->release(flit.packet);
   }
 
   /// Producer side: a credit return headed for `router` (the upstream of a
   /// cross-partition link, owned by the consuming partition).
-  void push_credit(Router* router, unsigned out_port, unsigned vc, Cycle deadline) {
-    pending_credits_.push_back(CreditEvent{router, out_port, vc, deadline});
+  void push_credit(Router* router, unsigned out_port, unsigned vnet, Cycle deadline) {
+    pending_credits_.push_back(CreditEvent{router, out_port, vnet, deadline});
   }
 
   /// Serial epilogue (between the cycle's barriers): publish this cycle's
@@ -72,7 +71,7 @@ class BoundaryChannel {
     TCMP_CHECK_MSG(ready_flits_.empty(),
                    "boundary events published but never drained");
     for (const CreditEvent& e : pending_credits_) {
-      e.router->external_credit(e.out_port, e.vc, e.deadline);
+      e.router->external_credit(e.out_port, e.vnet, e.deadline);
     }
     pending_credits_.clear();
     std::swap(pending_flits_, ready_flits_);
@@ -88,7 +87,7 @@ class BoundaryChannel {
   void drain() {
     for (FlitEvent& e : ready_flits_) {
       if (e.flit.tail) e.flit.packet = consumer_->alloc(e.packet);
-      e.router->external_arrival(e.port, e.vc, e.at, e.flit);
+      e.router->external_arrival(e.port, e.at, e.flit);
     }
     ready_flits_.clear();
   }
@@ -102,7 +101,6 @@ class BoundaryChannel {
   struct FlitEvent {
     Router* router = nullptr;
     unsigned port = 0;
-    unsigned vc = 0;
     Cycle at{};        ///< arrival cycle at the downstream router
     Flit flit{};
     PacketRecord packet{};  ///< tail flits only: the record in transit
@@ -110,7 +108,7 @@ class BoundaryChannel {
   struct CreditEvent {
     Router* router = nullptr;
     unsigned out_port = 0;
-    unsigned vc = 0;
+    unsigned vnet = 0;
     Cycle deadline{};
   };
 

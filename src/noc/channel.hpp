@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "common/units.hpp"
 #include "wire/link_design.hpp"
 #include "wire/wire_spec.hpp"
 
@@ -27,12 +26,10 @@ struct ChannelSpec {
   }
 };
 
-/// Channel set for a link partition at a given clock and link length
-/// (`link_length_mm` in the paper's mm units — the config boundary).
+/// Channel set for a link partition: links of wire::kLinkLengthMm at the
+/// technology clock (wire::TechParams::itrs65().freq).
 [[nodiscard]] std::vector<ChannelSpec> make_channels(
-    const wire::LinkPartition& partition,
-    double link_length_mm = 5.0,  // tcmplint: allow-raw-unit
-    units::Hertz freq = units::hertz(4e9));
+    const wire::LinkPartition& partition);
 
 /// Channel index conventions. Channel 0 is always the B channel. For the
 /// paper's VL+B style, channel 1 is the VL bundle. For the Cheng [6]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/check.hpp"
 #include "obs/observer.hpp"
@@ -137,12 +136,7 @@ void Network::set_observer(obs::Observer* obs) {
 void Network::build_mesh(unsigned ch) {
   ChannelPlane& plane = planes_[ch];
   const ChannelSpec& spec = cfg_.channels[ch];
-  Router::Config rcfg;
-  rcfg.vcs_per_vnet = cfg_.vcs_per_vnet;
-  rcfg.vnets = protocol::kNumVnets;
-  rcfg.buffer_flits = cfg_.buffer_flits;
-  rcfg.nodes = cfg_.nodes();
-  rcfg.single_cycle = cfg_.single_cycle_router;
+  const Router::Config rcfg{cfg_.nodes(), cfg_.single_cycle_router};
 
   const std::string prefix = "noc." + spec.name;
   for (unsigned n = 0; n < cfg_.nodes(); ++n) {
@@ -153,7 +147,7 @@ void Network::build_mesh(unsigned ch) {
 
   const unsigned w = cfg_.width;
   const unsigned link_cycles = spec.link_cycles;
-  const double mm = cfg_.link_length_mm;
+  const double mm = wire::kLinkLengthMm;
   // Directed link `from` -> `to`; when it crosses a partition boundary, both
   // writes it makes (flit downstream, credit upstream) go via boundary
   // channels. Row-block partitions only ever cut vertical (N/S) links.
@@ -220,12 +214,7 @@ void Network::build_tree(unsigned ch) {
                  "tree topology supports up to 4 clusters of 4 tiles");
   const unsigned n_clusters = n_nodes / 4;
 
-  Router::Config rcfg;
-  rcfg.vcs_per_vnet = cfg_.vcs_per_vnet;
-  rcfg.vnets = protocol::kNumVnets;
-  rcfg.buffer_flits = cfg_.buffer_flits;
-  rcfg.nodes = n_nodes;
-  rcfg.single_cycle = cfg_.single_cycle_router;
+  const Router::Config rcfg{n_nodes, cfg_.single_cycle_router};
 
   const std::string prefix = "noc." + spec.name;
   for (unsigned r = 0; r < n_clusters + 1; ++r) {
@@ -234,10 +223,9 @@ void Network::build_tree(unsigned ch) {
   }
   Router& root = *plane.routers[n_clusters];
 
-  const double root_mm = cfg_.link_length_mm * cfg_.tree_root_link_factor;
-  const unsigned root_cycles = static_cast<unsigned>(std::max<double>(
-      1.0, std::ceil(static_cast<double>(spec.link_cycles) *
-                     cfg_.tree_root_link_factor)));
+  // Cluster-to-root links are twice as long as the leaf links.
+  const double root_mm = 2 * wire::kLinkLengthMm;
+  const unsigned root_cycles = 2 * spec.link_cycles;
   constexpr unsigned kUpPort = kNumPorts - 1;
 
   plane.attach.assign(n_nodes, Attach{});
@@ -258,7 +246,7 @@ void Network::build_tree(unsigned ch) {
       });
       plane.attach[node] = Attach{&cluster, i};
       // The tile-to-cluster stub is part of the plane's metal.
-      plane.total_link_mm += 2 * cfg_.link_length_mm;
+      plane.total_link_mm += 2 * wire::kLinkLengthMm;
     }
   }
 }
@@ -290,10 +278,9 @@ void Network::pump_lane(unsigned ch, NodeId node, unsigned vnet, Cycle now) {
     lane.active = true;
     lane.flits_emitted = 0;
     lane.total_flits = flits_for(ch, lane.queue.front().wire_bytes);
-    lane.vc = vnet * cfg_.vcs_per_vnet;  // single-VC lanes use the first VC
   }
   const Attach& at = planes_[ch].attach[node];
-  if (!at.router->can_inject(at.port, lane.vc)) return;
+  if (!at.router->can_inject(at.port, vnet)) return;
 
   const Packet& pkt = lane.queue.front();
   const ChannelSpec& spec = cfg_.channels[ch];
@@ -314,7 +301,7 @@ void Network::pump_lane(unsigned ch, NodeId node, unsigned vnet, Cycle now) {
         std::min<std::uint64_t>((now - pkt.queued_at).value(), 0xFFFF));
   }
 
-  const bool ok = at.router->try_inject(at.port, lane.vc, flit, now);
+  const bool ok = at.router->try_inject(at.port, flit, now);
   TCMP_CHECK(ok);
   ++planes_[ch].pstats[part].flits_injected;
   if (++lane.flits_emitted == lane.total_flits) {

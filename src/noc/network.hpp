@@ -28,7 +28,6 @@
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "common/units.hpp"
 #include "noc/boundary.hpp"
 #include "noc/channel.hpp"
 #include "noc/router.hpp"
@@ -45,19 +44,14 @@ namespace tcmp::noc {
 /// reported their heterogeneous-wire gains — few routers, long wires.
 enum class Topology { kMesh2D, kTree2Level };
 
+/// Mesh hops (tree: leaf links) are wire::kLinkLengthMm long; tree
+/// cluster-to-root links are twice that.
 struct NocConfig {
   unsigned width = 4;
   unsigned height = 4;
   Topology topology = Topology::kMesh2D;
   std::vector<ChannelSpec> channels;
-  unsigned vcs_per_vnet = 1;
-  unsigned buffer_flits = 4;
   bool single_cycle_router = true;  ///< see Router::Config::single_cycle
-  double link_length_mm = 5.0;  // tcmplint: allow-raw-unit (config boundary)
-                                ///< mesh hop length (tree: leaf links)
-  /// Tree only: cluster-to-root links are this factor longer than leaf links.
-  double tree_root_link_factor = 2.0;
-  units::Hertz freq = units::hertz(4e9);
 
   [[nodiscard]] unsigned nodes() const { return width * height; }
 };
@@ -201,12 +195,11 @@ class Network final {
   };
 
   /// One injection lane per (node, channel, vnet): serializes packets into
-  /// flits, one flit per cycle, holding a single VC until the tail is in.
+  /// flits, one flit per cycle, into the local router's VC for its vnet.
   struct Lane {
     std::deque<Packet> queue;
     unsigned flits_emitted = 0;
     unsigned total_flits = 0;
-    unsigned vc = 0;
     /// Slab handle of the front packet, allocated when its head is pumped.
     std::uint32_t packet = 0;
     bool active = false;
@@ -216,7 +209,6 @@ class Network final {
       ar.field(queue);
       ar.field(flits_emitted);
       ar.field(total_flits);
-      ar.field(vc);
       ar.field(packet);
       ar.field(active);
     }

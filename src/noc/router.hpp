@@ -25,11 +25,12 @@
 // Routing is table-driven: the topology builder (2D mesh with XY routes, or
 // the two-level tree) fills a per-router destination->output-port table, so
 // any deadlock-free single-path topology plugs in without touching the
-// router. VCs are partitioned by virtual network: vc = vnet * vcs_per_vnet
-// + k; a packet never changes vnet, so the three protocol classes (requests,
-// forwards, responses) cannot block each other. Any port may be an ejection
-// port (meshes eject at kPortLocal; tree cluster routers eject each leaf
-// tile at its own port).
+// router. Each port has one VC per virtual network (kVcsPerPort) of
+// kVcDepth flits: a packet's VC is its vnet at every hop, so the three
+// protocol classes (requests, forwards, responses) cannot block each other,
+// and VC allocation is one check that the vnet's output VC is free. Any port
+// may be an ejection port (meshes eject at kPortLocal; tree cluster routers
+// eject each leaf tile at its own port).
 //
 // Thread compatibility: single-owner, no internal locking. Downstream/
 // upstream router pointers are intra-plane wiring; when a link crosses a
@@ -41,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -64,14 +66,15 @@ inline constexpr unsigned kPortN = 2;
 inline constexpr unsigned kPortS = 3;
 inline constexpr unsigned kPortLocal = 4;
 inline constexpr unsigned kNumPorts = 5;
+/// Virtual channels per port: one per virtual network (VC index = vnet).
+inline constexpr unsigned kVcsPerPort = protocol::kNumVnets;
+/// Input buffer depth of every VC, in flits.
+inline constexpr unsigned kVcDepth = 4;
 
 class Router {
  public:
   struct Config {
-    unsigned vcs_per_vnet = 1;
-    unsigned vnets = 3;
-    unsigned buffer_flits = 4;  ///< per input VC
-    unsigned nodes = 16;        ///< destinations the route table covers
+    unsigned nodes = 16;  ///< destinations the route table covers
     /// Single-cycle router (lookahead routing + speculative allocation):
     /// a flit can be buffered, allocated and switched in the same cycle, so
     /// per-hop latency is 1 + link_cycles. False models a 3-stage pipeline.
@@ -122,42 +125,43 @@ class Router {
   }
 
   /// The two writes a link makes into this router. A flit lands in input
-  /// `port`'s VC ring stamped with its arrival cycle `at` (a wake site); a
-  /// credit return joins output `out_port`'s credit FIFO and is counted
-  /// when switch allocation needs it (not a wake site). A same-partition
-  /// upstream/downstream router calls them directly; a boundary channel
-  /// (noc/boundary.hpp) calls them on the owning partition.
-  void external_arrival(unsigned port, unsigned vc, Cycle at, const Flit& flit) {
-    InputVc& in = input_[port * nvc_ + vc];
-    TCMP_CHECK_MSG(in.size < depth_, "credit protocol violated: buffer overflow");
-    push_flit(port * nvc_ + vc, at, flit);
+  /// `port`'s ring for its vnet, stamped with its arrival cycle `at` (a wake
+  /// site); a credit return joins output `out_port`'s credit FIFO for
+  /// `vnet` and is counted when switch allocation needs it (not a wake
+  /// site). A same-partition upstream/downstream router calls them
+  /// directly; a boundary channel (noc/boundary.hpp) calls them on the
+  /// owning partition.
+  void external_arrival(unsigned port, Cycle at, const Flit& flit) {
+    const unsigned s = port * kVcsPerPort + flit.vnet;
+    TCMP_CHECK_MSG(input_[s].size < kVcDepth, "credit protocol violated: buffer overflow");
+    push_flit(s, at, flit);
   }
-  void external_credit(unsigned out_port, unsigned vc, Cycle deadline) {
-    const unsigned o = out_port * nvc_ + vc;
+  void external_credit(unsigned out_port, unsigned vnet, Cycle deadline) {
+    const unsigned o = out_port * kVcsPerPort + vnet;
     OutputVc& ovc = out_vcs_[o];
-    TCMP_DCHECK_MSG(ovc.credit_size < depth_, "credit slots overflow");
-    Cycle* const ring = &credit_at_[o * depth_];
+    TCMP_DCHECK_MSG(ovc.credit_size < kVcDepth, "credit slots overflow");
+    Cycle* const ring = &credit_at_[o * kVcDepth];
     unsigned i = ovc.credit_head + ovc.credit_size;
-    if (i >= depth_) i -= depth_;
+    if (i >= kVcDepth) i -= kVcDepth;
     TCMP_DCHECK_MSG(ovc.credit_size == 0 ||
-                        deadline >= ring[i == 0 ? depth_ - 1 : i - 1],
+                        deadline >= ring[i == 0 ? kVcDepth - 1 : i - 1],
                     "credit deadlines must not decrease per output VC");
     ring[i] = deadline;
     ++ovc.credit_size;
   }
 
   /// Network-interface injection into input port `port` (a wake site): the
-  /// flit arrives at `now`. Returns false when the chosen VC has no buffer
+  /// flit arrives at `now`. Returns false when its vnet's VC has no buffer
   /// space (retry next cycle).
-  [[nodiscard]] bool try_inject(unsigned port, unsigned vc, const Flit& flit, Cycle now) {
-    if (!can_inject(port, vc)) return false;
-    push_flit(port * nvc_ + vc, now, flit);
+  [[nodiscard]] bool try_inject(unsigned port, const Flit& flit, Cycle now) {
+    if (!can_inject(port, flit.vnet)) return false;
+    push_flit(port * kVcsPerPort + flit.vnet, now, flit);
     return true;
   }
-  /// True if the port's VC can accept a flit this cycle.
-  [[nodiscard]] bool can_inject(unsigned port, unsigned vc) const {
-    TCMP_DCHECK(port < kNumPorts && vc < nvc_);
-    return input_[port * nvc_ + vc].size < depth_;
+  /// True if the port's VC for `vnet` can accept a flit this cycle.
+  [[nodiscard]] bool can_inject(unsigned port, unsigned vnet) const {
+    TCMP_DCHECK(port < kNumPorts && vnet < kVcsPerPort);
+    return input_[port * kVcsPerPort + vnet].size < kVcDepth;
   }
 
   /// One cycle: allocate and switch once a front flit has arrived. Every
@@ -194,7 +198,6 @@ class Router {
   };
   [[nodiscard]] Census census(Cycle now) const;
 
-  [[nodiscard]] unsigned num_vcs() const { return nvc_; }
   [[nodiscard]] NodeId id() const { return id_; }
 
   /// Checkpoint serialization (common/snapshot.hpp): every input VC ring
@@ -212,7 +215,7 @@ class Router {
     for (OutputPort& p : output_) ar.field(p.sa_rr);
     if constexpr (!Ar::kIsWriter) {
       occupied_ = 0;
-      for (unsigned s = 0; s < input_.size(); ++s) {
+      for (unsigned s = 0; s < kSlots; ++s) {
         if (input_[s].size != 0) occupied_ |= std::uint64_t{1} << s;
       }
       wake_ = earliest_front();
@@ -220,24 +223,25 @@ class Router {
   }
 
  private:
-  /// One input VC's ring state; its flits are slots_[s * depth_ ...].
+  /// Input VCs per router: the request and occupied masks are 64 bits.
+  static constexpr unsigned kSlots = kNumPorts * kVcsPerPort;
+  static_assert(kSlots <= 64, "at most 64 input VCs per router");
+
+  /// One input VC's ring state; its flits are slots_[s * kVcDepth ...]. An
+  /// allocated VC holds output VC out_port * kVcsPerPort + its own vnet.
   struct InputVc {
     unsigned head = 0;  ///< ring index of the front flit
     unsigned size = 0;  ///< flits buffered or on the link (credit-bounded)
-    bool routed = false;
-    unsigned out_port = 0;
+    unsigned out_port = 0;  ///< the head's route, set at VC allocation
     bool vc_allocated = false;
-    unsigned out_vc = 0;
     Cycle allocated_at{0};
 
     template <typename Ar>
     void snapshot_io(Ar& ar) {
       ar.field(head);
       ar.field(size);
-      ar.field(routed);
       ar.field(out_port);
       ar.field(vc_allocated);
-      ar.field(out_vc);
       ar.field(allocated_at);
     }
   };
@@ -255,7 +259,7 @@ class Router {
   };
 
   /// One output VC: allocation, credit count and the credit-return FIFO
-  /// credit_at_[o * depth_ ...]. In-flight credits never exceed the
+  /// credit_at_[o * kVcDepth ...]. In-flight credits never exceed the
   /// downstream buffer depth, so the FIFO never overflows.
   struct OutputVc {
     bool held = false;
@@ -294,14 +298,14 @@ class Router {
   void push_flit(unsigned s, Cycle at, const Flit& flit) {
     InputVc& in = input_[s];
     unsigned i = in.head + in.size;
-    if (i >= depth_) i -= depth_;
-    slots_[s * depth_ + i] = Slot{at, flit};
+    if (i >= kVcDepth) i -= kVcDepth;
+    slots_[s * kVcDepth + i] = Slot{at, flit};
     ++in.size;
     occupied_ |= std::uint64_t{1} << s;
     wake_ = std::min(wake_, at);
     *work_word_ |= work_bit_;
   }
-  void send_credit(unsigned in_port, unsigned vc, Cycle now);
+  void send_credit(unsigned in_port, unsigned vnet, Cycle now);
   /// Count output VC `o`'s credit returns due by `now`; true when it then
   /// holds a credit.
   bool take_due_credits(unsigned o, Cycle now);
@@ -315,10 +319,6 @@ class Router {
   NodeId id_;
   // tcmplint: snapshot-exempt (construction parameter, never mutates)
   Config cfg_;
-  // tcmplint: snapshot-exempt (derived from cfg_ at construction)
-  unsigned nvc_ = 0;    ///< VCs per port
-  // tcmplint: snapshot-exempt (derived from cfg_ at construction)
-  unsigned depth_ = 0;  ///< input ring and credit FIFO capacity
   StatRegistry* stats_;
   // tcmplint: snapshot-exempt (stat-name prefix derived at construction)
   std::string prefix_;
@@ -328,7 +328,8 @@ class Router {
   CounterRef flit_hops_;
   CounterRef bit_hops_;
   CounterRef bit_dmm_hops_;  ///< bits x link length (0.1 mm units)
-  /// Bit port * nvc_ + vc is set while that input VC's ring is non-empty.
+  /// Bit port * kVcsPerPort + vnet is set while that input VC's ring is
+  /// non-empty.
   std::uint64_t occupied_ = 0;
   /// Earliest front-flit arrival (kNeverCycle when empty): lowered by every
   /// flit write, recomputed after each switch.
@@ -338,10 +339,10 @@ class Router {
   // tcmplint: snapshot-exempt (wiring: bound by the network at construction)
   std::uint64_t work_bit_ = 0;
 
-  std::vector<InputVc> input_;    ///< [port * nvc_ + vc]
-  std::vector<Slot> slots_;       ///< [(port * nvc_ + vc) * depth_ + i]
-  std::vector<OutputVc> out_vcs_; ///< [port * nvc_ + vc]
-  std::vector<Cycle> credit_at_;  ///< [(port * nvc_ + vc) * depth_ + i]
+  std::array<InputVc, kSlots> input_{};               ///< [port * kVcsPerPort + vnet]
+  std::array<Slot, kSlots * kVcDepth> slots_{};        ///< [input VC * kVcDepth + i]
+  std::array<OutputVc, kSlots> out_vcs_{};             ///< [port * kVcsPerPort + vnet]
+  std::array<Cycle, kSlots * kVcDepth> credit_at_{};   ///< [output VC * kVcDepth + i]
   OutputPort output_[kNumPorts];
   // tcmplint: snapshot-exempt (wiring: set by the upstream's connect)
   Upstream upstream_[kNumPorts];

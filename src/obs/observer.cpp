@@ -42,8 +42,7 @@ std::string msg_args(const protocol::CoherenceMsg& msg) {
 }  // namespace
 
 Observer::Observer(const ObsConfig& cfg, const StatRegistry* stats)
-    : cfg_(cfg), stats_(stats), ts_(stats, cfg.sample_interval),
-      trace_(cfg.max_trace_events) {
+    : cfg_(cfg), stats_(stats), ts_(stats, cfg.sample_interval) {
   TCMP_CHECK(stats != nullptr);
   trace_.set_process_name(1, "tcmp chip");
 

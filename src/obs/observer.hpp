@@ -4,7 +4,7 @@
 //
 // Levels:
 //   kOff        — nothing; components see a null pointer, hooks cost one
-//                 branch (the ≤2% micro_noc overhead budget).
+//                 branch.
 //   kTimeseries — periodic StatRegistry sampling + windowed latency
 //                 quantiles; no per-message events.
 //   kTrace      — everything above plus Chrome trace-event spans: inject →
@@ -34,7 +34,6 @@ enum class Level { kOff = 0, kTimeseries = 1, kTrace = 2 };
 struct ObsConfig {
   Level level = Level::kTimeseries;
   Cycle sample_interval{10'000};
-  std::uint64_t max_trace_events = 4'000'000;
   std::string trace_path;       ///< written by finalize_to_files; empty = skip
   std::string timeseries_path;  ///< written by finalize_to_files; empty = skip
 };
@@ -119,9 +118,7 @@ class Observer final : public ProtocolHooks {
   [[nodiscard]] const TraceWriter& trace() const { return trace_; }
 
  private:
-  [[nodiscard]] bool at_capacity() const {
-    return trace_.size() >= cfg_.max_trace_events;
-  }
+  [[nodiscard]] bool at_capacity() const { return trace_.full(); }
 
   ObsConfig cfg_;
   const StatRegistry* stats_;

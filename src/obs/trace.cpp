@@ -14,7 +14,7 @@ void TraceWriter::set_process_name(std::uint32_t pid, std::string name) {
 }
 
 bool TraceWriter::add(TraceEvent e, bool force) {
-  if (!force && events_.size() >= max_events_) {
+  if (!force && full()) {
     ++dropped_;
     return false;
   }

@@ -34,9 +34,13 @@ struct TraceEvent {
   std::string args;        ///< preformatted JSON object body, may be empty
 };
 
+/// Events a run's trace holds before further ones are dropped (~500 MB of
+/// JSON).
+inline constexpr std::uint64_t kMaxTraceEvents = 4'000'000;
+
 class TraceWriter {
  public:
-  explicit TraceWriter(std::uint64_t max_events = 4'000'000)
+  explicit TraceWriter(std::uint64_t max_events = kMaxTraceEvents)
       : max_events_(max_events) {}
 
   /// Label a track ("thread_name" metadata event).
@@ -49,6 +53,8 @@ class TraceWriter {
   bool add(TraceEvent e, bool force = false);
 
   [[nodiscard]] std::size_t size() const { return events_.size(); }
+  /// At the cap: add() drops every event it is not forced to keep.
+  [[nodiscard]] bool full() const { return events_.size() >= max_events_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
 

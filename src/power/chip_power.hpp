@@ -28,8 +28,6 @@ struct ChipPowerModel {
   [[nodiscard]] units::Watts tile_leakage() const {
     return core_leakage + cache_leakage;
   }
-
-  friend bool operator==(const ChipPowerModel&, const ChipPowerModel&) = default;
 };
 
 }  // namespace tcmp::power

@@ -35,16 +35,14 @@ struct RouterEnergyModel {
   }
 
   /// Static power of one router: `ports` in/out port pairs, `vcs` virtual
-  /// channels per port of `buffer_flits` flits of `flit_bits` each.
+  /// channels per port of `depth` flits of `flit_bits` each.
   [[nodiscard]] units::Watts router_leakage(unsigned ports, unsigned vcs,
-                                            unsigned buffer_flits,
+                                            unsigned depth,
                                             unsigned flit_bits) const {
     const double storage_bits =
-        static_cast<double>(ports) * vcs * buffer_flits * flit_bits;
+        static_cast<double>(ports) * vcs * depth * flit_bits;
     return leakage_per_buffer_bit * storage_bits + leakage_per_port * ports;
   }
-
-  friend bool operator==(const RouterEnergyModel&, const RouterEnergyModel&) = default;
 };
 
 }  // namespace tcmp::power

@@ -9,9 +9,10 @@
 namespace tcmp::protocol {
 
 Directory::Directory(NodeId id, const Config& cfg, unsigned n_nodes,
-                     StatRegistry* stats, MsgSink sink)
+                     bool reply_partitioning, StatRegistry* stats, MsgSink sink)
     : id_(id),
       n_nodes_(n_nodes),
+      reply_partitioning_(reply_partitioning),
       cfg_(cfg),
       array_(cfg.sets, cfg.ways),
       stats_(stats),
@@ -174,7 +175,7 @@ void Directory::handle_request(const CoherenceMsg& msg) {
 }
 
 void Directory::send_partial_reply(NodeId requester, LineAddr line) {
-  if (!cfg_.reply_partitioning) return;
+  if (!reply_partitioning_) return;
   CoherenceMsg partial;
   partial.type = MsgType::kPartialReply;
   partial.dst = requester;

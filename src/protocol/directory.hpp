@@ -66,16 +66,16 @@ class Directory final {
     unsigned ways = 4;
     Cycle l2_latency{8};      ///< Table 4: 6+2 cycles
     Cycle memory_latency{400};
-    /// Reply Partitioning [9]: send the critical word ahead of read replies.
-    bool reply_partitioning = false;
 
     friend bool operator==(const Config&, const Config&) = default;
   };
 
   using MsgSink = std::function<void(CoherenceMsg)>;
 
-  Directory(NodeId id, const Config& cfg, unsigned n_nodes, StatRegistry* stats,
-            MsgSink sink);
+  /// `reply_partitioning` (Reply Partitioning [9]): send the critical word
+  /// ahead of read replies.
+  Directory(NodeId id, const Config& cfg, unsigned n_nodes,
+            bool reply_partitioning, StatRegistry* stats, MsgSink sink);
 
   /// Network-side delivery; processing happens l2_latency cycles later.
   /// Returns that cycle, at which tick() next has work.
@@ -156,6 +156,7 @@ class Directory final {
     ar.section("dir");
     ar.verify(id_);
     ar.verify(n_nodes_);
+    ar.verify(reply_partitioning_);
     ar.field(cfg_.memory_latency);  // warmup/measured boundary state
     ar.field(array_);
     ar.field(access_pipe_);
@@ -246,6 +247,7 @@ class Directory final {
 
   NodeId id_;
   unsigned n_nodes_;
+  bool reply_partitioning_;
   Config cfg_;
   Array array_;
   StatRegistry* stats_;

@@ -1,15 +1,14 @@
 #include "protocol/l1_cache.hpp"
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace tcmp::protocol {
 
-L1Cache::L1Cache(NodeId id, const Config& cfg, unsigned n_nodes, StatRegistry* stats,
-                 MsgSink sink)
+L1Cache::L1Cache(NodeId id, const Config& cfg, unsigned n_nodes,
+                 bool reply_partitioning, StatRegistry* stats, MsgSink sink)
     : id_(id),
       n_nodes_(n_nodes),
-      reply_partitioning_(cfg.reply_partitioning),
+      reply_partitioning_(reply_partitioning),
       array_(cfg.sets, cfg.ways),
       stats_(stats),
       sink_(std::move(sink)) {

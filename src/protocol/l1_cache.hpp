@@ -51,10 +51,6 @@ class L1Cache final {
   struct Config {
     unsigned sets = 128;  ///< 32 KB, 4-way, 64 B lines
     unsigned ways = 4;
-    /// Reply Partitioning [9]: data senders emit a critical PartialReply
-    /// carrying the requested word ahead of the full line; read misses
-    /// unblock the core on its arrival.
-    bool reply_partitioning = false;
 
     friend bool operator==(const Config&, const Config&) = default;
   };
@@ -62,8 +58,11 @@ class L1Cache final {
   using MsgSink = std::function<void(CoherenceMsg)>;
   using FillCallback = std::function<void(LineAddr line)>;
 
-  L1Cache(NodeId id, const Config& cfg, unsigned n_nodes, StatRegistry* stats,
-          MsgSink sink);
+  /// `reply_partitioning` (Reply Partitioning [9]): data senders emit a
+  /// critical PartialReply carrying the requested word ahead of the full
+  /// line; read misses unblock the core on its arrival.
+  L1Cache(NodeId id, const Config& cfg, unsigned n_nodes, bool reply_partitioning,
+          StatRegistry* stats, MsgSink sink);
 
   /// Core-side access; see AccessResult for the blocking contract.
   AccessResult access(LineAddr line, bool is_write);

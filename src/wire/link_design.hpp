@@ -12,6 +12,9 @@
 
 namespace tcmp::wire {
 
+/// Length of every mesh link (one tile pitch), in the paper's mm units.
+inline constexpr double kLinkLengthMm = 5.0;
+
 /// How the 600-track link budget is spent.
 enum class LinkStyle {
   kBaseline,   ///< one 75-byte B-Wire channel (the paper's baseline)

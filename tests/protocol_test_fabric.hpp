@@ -47,12 +47,16 @@ class TestFabric {
       l1cfg.sets = opt_.l1_sets;
       l1cfg.ways = opt_.l1_ways;
       l1s_.push_back(std::make_unique<L1Cache>(static_cast<NodeId>(n), l1cfg,
-                                               opt_.nodes, &stats_, sink));
+                                               opt_.nodes,
+                                               /*reply_partitioning=*/false,
+                                               &stats_, sink));
       Directory::Config dcfg;
       dcfg.sets = opt_.l2_sets;
       dcfg.ways = opt_.l2_ways;
       dirs_.push_back(std::make_unique<Directory>(static_cast<NodeId>(n), dcfg,
-                                                  opt_.nodes, &stats_, sink));
+                                                  opt_.nodes,
+                                                  /*reply_partitioning=*/false,
+                                                  &stats_, sink));
       const unsigned core = n;
       l1s_[n]->set_fill_callback(
           [this, core](LineAddr line) { fills_[core].insert(line); });

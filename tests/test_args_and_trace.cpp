@@ -5,11 +5,13 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/args.hpp"
 #include "workloads/synthetic_app.hpp"
@@ -73,6 +75,28 @@ TEST(ArgParser, RejectsPartialAndOutOfRangeNumbers) {
   EXPECT_EQ(p.get_long("f", 7), 12);
   EXPECT_DOUBLE_EQ(p.get_double("g", 1.5), 2.5);
   EXPECT_EQ(p.rejected(), (std::set<std::string>{"a", "b", "c", "d", "e"}));
+}
+
+TEST(ArgParser, RefusesValueTakingOptionsGivenNoValue) {
+  // A trailing --key, or one followed by another option, has no value: it
+  // reads as a flag, and every value accessor refuses it.
+  const auto p = parse({"--flag", "--out", "--n", "--x", "1", "--last"});
+  EXPECT_TRUE(p.has("out"));
+  EXPECT_TRUE(p.get_flag("flag"));
+  EXPECT_TRUE(p.get_flag("last"));
+  EXPECT_TRUE(p.rejected().empty());
+  EXPECT_EQ(p.get("out", "dflt"), "dflt");
+  EXPECT_EQ(p.get_long("n", 7), 7);
+  EXPECT_EQ(p.get("x", ""), "1");
+  EXPECT_EQ(p.rejected(), (std::set<std::string>{"n", "out"}));
+  EXPECT_EQ(p.rejection(), "--n: needs a value");
+  // A repeated key keeps its last form.
+  const auto q = parse({"--k", "--k=v", "--j=v", "--j"});
+  EXPECT_EQ(q.get("k", ""), "v");
+  EXPECT_TRUE(q.get_flag("j"));
+  EXPECT_EQ(q.rejected(), std::set<std::string>{});
+  EXPECT_EQ(q.get("j", "dflt"), "dflt");
+  EXPECT_EQ(q.unknown_keys({"k"}), std::vector<std::string>{"j"});
 }
 
 // --- trace workload ---
@@ -146,9 +170,12 @@ TEST(TraceWorkload, RoundTripsThroughWriter) {
   }
 }
 
-/// Run tcmpsim with `args`; its exit status and combined stdout/stderr.
-std::pair<int, std::string> run_tcmpsim(const std::string& args) {
-  const std::string cmd = std::string(TCMPSIM_BIN) + " " + args + " 2>&1";
+/// Run tcmpsim with `args` (in `dir` when given); its exit status and
+/// combined stdout/stderr.
+std::pair<int, std::string> run_tcmpsim(const std::string& args,
+                                        const std::string& dir = "") {
+  const std::string cd = dir.empty() ? "" : "cd '" + dir + "' && ";
+  const std::string cmd = cd + std::string(TCMPSIM_BIN) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return {-1, ""};
   std::string out;
@@ -225,6 +252,27 @@ TEST(TcmpsimCli, RefusesThreadsPastUnsignedRange) {
 }
 TEST(TcmpsimCli, RefusesScaleWhoseOpCountOverflows) {
   expect_refused("--app FFT --scale 1e20", "--scale");
+}
+TEST(TcmpsimCli, RefusesOutputOptionWithoutValue) {
+  // A trailing --metrics-out once wrote the metrics to a file named "true".
+  const std::string dir = ::testing::TempDir() + "tcmp_cli_no_value";
+  std::filesystem::create_directories(dir);
+  const auto [status, out] =
+      run_tcmpsim("--app MP3D --scale 0.01 --metrics-out", dir);
+  EXPECT_EQ(status, 2) << out;
+  EXPECT_NE(out.find("--metrics-out: needs a value"), std::string::npos) << out;
+  EXPECT_FALSE(std::ifstream(dir + "/true").good());
+  // Flags still take no value.
+  EXPECT_EQ(run_tcmpsim("--app MP3D --scale 0.01 --reply-partitioning", dir).first, 0);
+}
+TEST(TcmpsimCli, RefusesZeroSampleDetail) {
+  expect_refused("--sample detail=0", "--sample: detail must be > 0");
+}
+TEST(TcmpsimCli, RefusesNonNumericSampleWarmup) {
+  expect_refused("--sample warmup=abc", "--sample: warmup");
+}
+TEST(TcmpsimCli, RefusesUnknownSampleKey) {
+  expect_refused("--sample interval=5", "--sample: unknown key 'interval'");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <type_traits>
 
@@ -411,9 +413,21 @@ TEST(TextTable, FmtPrecision) {
 }
 
 TEST(Env, FallbacksWhenUnset) {
-  EXPECT_DOUBLE_EQ(env_double("TCMP_SURELY_UNSET_VAR", 1.5), 1.5);
-  EXPECT_EQ(env_long("TCMP_SURELY_UNSET_VAR", 42), 42);
-  EXPECT_EQ(env_string("TCMP_SURELY_UNSET_VAR", "x"), "x");
+  EXPECT_EQ(env_double("TCMP_SURELY_UNSET_VAR", 1.5), 1.5);
+}
+
+TEST(Env, ParsesWholeValuesOnly) {
+  const char* const var = "TCMP_ENV_TEST_VAR";
+  const auto read = [var](const char* value) {
+    ::setenv(var, value, 1);
+    return env_double(var, 1.5);
+  };
+  EXPECT_EQ(read("0.25"), 0.25);
+  EXPECT_EQ(read(""), 1.5);  // empty reads as unset
+  EXPECT_EQ(read("0.01x"), std::nullopt);
+  EXPECT_EQ(read("abc"), std::nullopt);
+  EXPECT_EQ(read("1e999"), std::nullopt);
+  ::unsetenv(var);
 }
 
 }  // namespace

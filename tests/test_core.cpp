@@ -30,9 +30,10 @@ class ScriptWorkload final : public Workload {
 struct CoreHarness {
   explicit CoreHarness(std::deque<Op> ops)
       : workload(std::move(ops)),
-        l1(NodeId{0}, protocol::L1Cache::Config{16, 2}, 16, &stats,
+        l1(NodeId{0}, protocol::L1Cache::Config{16, 2}, 16,
+           /*reply_partitioning=*/false, &stats,
            [this](protocol::CoherenceMsg msg) { sent.push_back(msg); }),
-        core(NodeId{0}, Core::Config{}, &workload, &l1, &stats) {
+        core(NodeId{0}, &workload, &l1, &stats) {
     l1.set_fill_callback([this](LineAddr line) { core.on_fill(line); });
     core.set_barrier_handler([this](unsigned, std::uint32_t id) { barrier_id = id; });
   }

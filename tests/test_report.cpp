@@ -6,6 +6,8 @@
 
 #include "cmp/report.hpp"
 #include "cmp/system.hpp"
+#include "power/chip_power.hpp"
+#include "wire/technology.hpp"
 #include "workloads/synthetic_app.hpp"
 
 namespace tcmp::cmp {
@@ -41,7 +43,8 @@ TEST(Report, LinkDynamicMatchesBitLengthCounter) {
 
   const double bit_dmm =
       static_cast<double>(system.stats().counter_value("noc.B.bit_dmm_hops"));
-  const double expected = bit_dmm * 1e-4 * 2.65 / cfg.freq.value() * 0.5;
+  const double expected =
+      bit_dmm * 1e-4 * 2.65 / wire::TechParams::itrs65().freq.value() * 0.5;
   EXPECT_NEAR(r.energy.get(power::EnergyAccount::kLinkDynamic).value(), expected,
               expected * 1e-9);
   // On the uniform-length mesh, bit_dmm is exactly bit_hops x 50 dmm.
@@ -125,7 +128,7 @@ TEST(Report, MemoryEnergyTracksMemoryEvents) {
       static_cast<double>(system.stats().counter_value("mem.reads") +
                           system.stats().counter_value("mem.writebacks"));
   EXPECT_NEAR(r.energy.get(power::EnergyAccount::kMemoryDynamic).value(),
-              events * cfg.chip_power.mem_access.value(), 1e-15);
+              events * power::ChipPowerModel{}.mem_access.value(), 1e-15);
 }
 
 }  // namespace

@@ -26,30 +26,48 @@ namespace {
 
 // ---- spec parsing --------------------------------------------------------
 
+/// The parsed spec, failing the test when it is refused.
+cmp::SamplingConfig parse_ok(const std::string& spec) {
+  std::string why;
+  const auto cfg = cmp::SamplingConfig::parse(spec, why);
+  EXPECT_TRUE(cfg.has_value()) << spec << ": " << why;
+  return cfg.value_or(cmp::SamplingConfig{});
+}
+
+/// Why `spec` is refused ("" when it parses).
+std::string refusal(const std::string& spec) {
+  std::string why;
+  return cmp::SamplingConfig::parse(spec, why) ? "" : why;
+}
+
 TEST(SamplingConfig, ParsesFullSpec) {
-  const auto cfg =
-      cmp::SamplingConfig::parse("mode=interval,warmup=1000,detail=5000,period=100000");
+  const auto cfg = parse_ok("mode=interval,warmup=1000,detail=5000,period=100000");
   EXPECT_EQ(cfg.warmup, Cycle{1000});
   EXPECT_EQ(cfg.detail, 5000u);
   EXPECT_EQ(cfg.period, 100'000u);
 }
 
 TEST(SamplingConfig, DefaultsAndPartialSpecs) {
-  const auto dflt = cmp::SamplingConfig::parse("mode=interval");
+  const auto dflt = parse_ok("mode=interval");
   EXPECT_EQ(dflt.warmup, Cycle{2000});
   EXPECT_EQ(dflt.detail, 10'000u);
   EXPECT_EQ(dflt.period, 200'000u);
   // mode= is optional; single-key overrides keep the other defaults.
-  const auto p = cmp::SamplingConfig::parse("period=50000");
+  const auto p = parse_ok("period=50000");
   EXPECT_EQ(p.period, 50'000u);
   EXPECT_EQ(p.detail, 10'000u);
 }
 
-TEST(SamplingConfigDeathTest, RejectsBadSpecs) {
-  EXPECT_DEATH(cmp::SamplingConfig::parse("mode=reservoir"), "mode");
-  EXPECT_DEATH(cmp::SamplingConfig::parse("interval=5"), "unknown");
-  EXPECT_DEATH(cmp::SamplingConfig::parse("warmup=abc"), "");
-  EXPECT_DEATH(cmp::SamplingConfig::parse("detail=0"), "");
+TEST(SamplingConfig, RejectsBadSpecs) {
+  EXPECT_NE(refusal("mode=reservoir").find("mode"), std::string::npos);
+  EXPECT_NE(refusal("interval=5").find("unknown key 'interval'"), std::string::npos);
+  EXPECT_NE(refusal("warmup=abc").find("warmup"), std::string::npos);
+  EXPECT_NE(refusal("warmup=-1").find("warmup"), std::string::npos);
+  EXPECT_NE(refusal("period=99999999999999999999").find("period"), std::string::npos);
+  EXPECT_NE(refusal("detail=5x").find("detail"), std::string::npos);
+  EXPECT_NE(refusal("detail").find("key=value"), std::string::npos);
+  EXPECT_EQ(refusal("detail=0"), "detail must be > 0");
+  EXPECT_EQ(refusal("period=0"), "period must be > 0");
 }
 
 // ---- sampled execution ---------------------------------------------------

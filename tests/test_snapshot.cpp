@@ -162,6 +162,19 @@ TEST(SnapshotArchiveDeathTest, RefusesVersionTwoStreams) {
   EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
 }
 
+TEST(SnapshotArchiveDeathTest, RefusesVersionThreeStreams) {
+  // Version 3 sized every router's VC arrays and stored each input VC's
+  // output VC, each injection lane's VC and each core's blocked-cycle copy;
+  // version 4 fixes one VC per vnet and drops all three.
+  std::stringstream buf;
+  SnapshotWriter w(buf);
+  w.raw_bytes(snapshot_detail::kMagic, sizeof snapshot_detail::kMagic);
+  w.raw_u64(3);
+  w.field(std::string("x"));
+  SnapshotReader r(buf);
+  EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
+}
+
 // ---- full-system checkpoint/restore --------------------------------------
 
 struct FinalReport {

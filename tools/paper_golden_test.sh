@@ -4,7 +4,8 @@
 # --jobs 1 and at --jobs 4. The golden is the concatenated stdout of the
 # fifteen per-table binaries the driver replaced, so a table that merges two
 # distinct runs, or renders from the wrong one, fails here. An unknown table
-# or option, --jobs 0, or a --jobs value with trailing junk must exit 2.
+# or option, --jobs 0, a --jobs value with trailing junk, or a TCMP_SCALE
+# that is not entirely a number must exit 2.
 #
 # Usage: paper_golden_test.sh <paper-binary> <golden-file>
 set -u
@@ -34,6 +35,14 @@ for args in "no-such-table" "--jobs 0" "--jobs 4x" "--no-such-option"; do
   status=$?
   if [ "$status" -ne 2 ]; then
     echo "FAIL: paper $args exited $status, expected 2" >&2
+    fail=1
+  fi
+done
+for scale in "0.01x" "abc"; do
+  TCMP_SCALE="$scale" "$paper" table1 > /dev/null 2> "$tmp/err.txt"
+  status=$?
+  if [ "$status" -ne 2 ] || ! grep -q TCMP_SCALE "$tmp/err.txt"; then
+    echo "FAIL: TCMP_SCALE=$scale paper table1 exited $status, expected 2 naming TCMP_SCALE" >&2
     fail=1
   fi
 done

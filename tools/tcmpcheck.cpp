@@ -278,6 +278,10 @@ int main(int argc, char** argv) {
   opt.quick = args.get_flag("quick");
   opt.dbrc_depth = args.get_long("dbrc-depth", 6);
   opt.mutate = args.get("mutate", "");
+  if (!args.rejected().empty()) {
+    std::fprintf(stderr, "tcmpcheck: %s\n", args.rejection().c_str());
+    return 2;
+  }
   if (opt.tiles < 0 || opt.lines < 1 || opt.max_msgs < 1 ||
       opt.max_outstanding < 1 || opt.max_states < 1 || opt.dbrc_depth < 1) {
     std::fprintf(stderr, "tcmpcheck: bounds must be positive\n");

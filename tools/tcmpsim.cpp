@@ -38,10 +38,10 @@
 //                         and continue to completion
 //   --sample SPEC         SMARTS interval sampling (requires --threads 1, no
 //                         observer): SPEC = mode=interval,warmup=W,detail=D,
-//                         period=P — detailed windows of D cycles after W
-//                         warm cycles, separated by P functionally
-//                         fast-forwarded instructions per core; metrics are
-//                         extrapolated with a confidence bound
+//                         period=P — detailed windows of D instructions per
+//                         core after W warm cycles, separated by P
+//                         functionally fast-forwarded instructions per core;
+//                         metrics are extrapolated with a confidence bound
 //
 // Observability (docs/observability.md):
 //   --trace-out FILE      write a Chrome trace-event JSON (load in Perfetto)
@@ -66,10 +66,12 @@
 //                         aborts the run with exit code 1
 //
 // With --app all, per-app output files get a ".<app>" suffix before the
-// extension.
+// extension. A bad value, or an option that takes one given none, exits 2
+// naming the option before anything is built.
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -259,12 +261,11 @@ bool is_binary_trace(const std::string& path) {
                                  std::begin(workloads::kTraceMagic));
 }
 
-/// A numeric option whose value is not entirely a number of its type: say
-/// which, and refuse the run.
+/// An option given no value, or a numeric one whose value is not entirely a
+/// number of its type: say which, and refuse the run.
 bool refuse_malformed(const ArgParser& args) {
   if (args.rejected().empty()) return false;
-  std::fprintf(stderr, "--%s: not a number of the option's type, or out of its range\n",
-               args.rejected().begin()->c_str());
+  std::fprintf(stderr, "%s\n", args.rejection().c_str());
   return true;
 }
 
@@ -418,7 +419,14 @@ int main(int argc, char** argv) {
                  "has no snapshot of its output file)\n");
     return 2;
   }
+  std::optional<cmp::SamplingConfig> sampling;
   if (!o.sample.empty()) {
+    std::string why;
+    sampling = cmp::SamplingConfig::parse(o.sample, why);
+    if (!sampling) {
+      std::fprintf(stderr, "--sample: %s\n", why.c_str());
+      return 2;
+    }
     if (o.threads != 1) {
       std::fprintf(stderr, "--sample requires --threads 1\n");
       return 2;
@@ -542,9 +550,8 @@ int main(int argc, char** argv) {
     }
     std::unique_ptr<cmp::SampledRun> sampled;
     bool completed;
-    if (!o.sample.empty()) {
-      sampled = std::make_unique<cmp::SampledRun>(
-          system, cmp::SamplingConfig::parse(o.sample));
+    if (sampling) {
+      sampled = std::make_unique<cmp::SampledRun>(system, *sampling);
       completed = sampled->run();
     } else {
       if (!o.checkpoint_out.empty()) {

@@ -243,22 +243,23 @@ int main(int argc, char** argv) {
     return 0;
   }
   const double tolerance = args.get_double("tolerance", 0.2);
+  // --compare BASE NEW: BASE is the option's value, NEW the positional.
+  const std::string base_path = args.get("compare", "");
+  if (!args.rejected().empty()) {
+    std::fprintf(stderr, "%s\n", args.rejection().c_str());
+    return 2;
+  }
   if (tolerance < 0.0) {
     std::fprintf(stderr, "--tolerance must be >= 0\n");
     return 2;
   }
 
-  if (args.get_flag("compare") || args.has("compare")) {
-    // --compare BASE NEW: the flag form takes both as positionals, the
-    // --compare=BASE form takes NEW as the positional.
-    std::vector<std::string> paths;
-    const std::string inline_base = args.get("compare", "");
-    if (!inline_base.empty() && inline_base != "true") paths.push_back(inline_base);
-    for (const auto& p : args.positional()) paths.push_back(p);
-    if (paths.size() != 2) {
+  if (args.has("compare")) {
+    if (args.positional().size() != 1) {
       std::fprintf(stderr, "usage: tcmpstat --compare base.json new.json\n");
       return 2;
     }
+    const std::vector<std::string> paths{base_path, args.positional()[0]};
     json::Value base, next;
     if (!load(paths[0], base) || !load(paths[1], next)) return 2;
     if (!validate(base, paths[0]) || !validate(next, paths[1])) return 2;
