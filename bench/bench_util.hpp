@@ -1,6 +1,7 @@
 // Shared helpers for the benches: the workload scale, one simulation run
-// and the table header (paper, mesh_smoke), and the perf microbenches' one
-// option, `--json FILE`, with its metrics-document writer. TCMP_SCALE scales
+// and the table header (paper, mesh_smoke), and the gated benches' one
+// option, `--json FILE`, with its metrics-document writer and the peak
+// resident set (mesh_smoke's footprint gate). TCMP_SCALE scales
 // every workload's operation count (1.0 = the calibrated default used in
 // EXPERIMENTS.md; smaller values give quick smoke runs); a value that is not
 // entirely a number exits 2 naming it.
@@ -52,7 +53,7 @@ inline cmp::RunResult run_app(const workloads::AppParams& params,
   return r;
 }
 
-/// A perf microbench's one option, `--json FILE`: returns FILE ("" when
+/// A gated bench's one option, `--json FILE`: returns FILE ("" when
 /// absent). Any other argument prints the usage line and exits 2.
 [[nodiscard]] inline std::string parse_json_out(int argc, char** argv) {
   std::string path;
@@ -77,6 +78,17 @@ inline void write_bench_json(const std::string& path, const char* group,
   cmp::write_bench_metrics_json(out, group, metrics);
   TCMP_CHECK_MSG(out.good(), "could not write --json output");
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// The process's peak resident set so far (VmHWM), in MiB; 0 where
+/// /proc/self/status is unavailable.
+[[nodiscard]] inline double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  return 0.0;
 }
 
 inline void print_header(const char* title) {

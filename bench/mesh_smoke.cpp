@@ -4,8 +4,14 @@
 // at small TCMP_SCALE so 64- and 256-tile assembly, routing and reporting are
 // exercised on every PR. The cycles/sec column is host timing, so this is a
 // smoke, not a paper table.
+//
+// `--json FILE` writes the process's peak resident set after the 256-tile
+// run (`peak_rss_mib`, VmHWM): the footprint gate, which
+// `tcmpstat --compare bench/BENCH_mesh.json FILE` fails when per-tile state
+// grows back (docs/performance.md, "Directory footprint").
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 
@@ -18,7 +24,7 @@ cmp::CmpConfig sized(cmp::CmpConfig cfg, unsigned tiles) {
   return cfg;
 }
 
-int run_scaling_smoke() {
+int run_scaling_smoke(const std::string& json_path) {
   bench::print_header("Mesh-scaling smoke: 64-tile (8x8) and 256-tile (16x16)");
   TextTable t({"tiles", "mesh", "sim cycles", "instructions", "cycles/sec"});
   for (unsigned tiles : {64u, 256u}) {
@@ -34,9 +40,14 @@ int run_scaling_smoke() {
                TextTable::fmt(static_cast<double>(r.cycles.value()) / secs, 0)});
   }
   std::printf("%s\n", t.str().c_str());
+  const double peak = bench::peak_rss_mib();
+  std::printf("peak RSS: %.1f MiB\n", peak);
+  bench::write_bench_json(json_path, "mesh", {{"peak_rss_mib", peak}});
   return 0;
 }
 
 }  // namespace
 
-int main() { return run_scaling_smoke(); }
+int main(int argc, char** argv) {
+  return run_scaling_smoke(bench::parse_json_out(argc, argv));
+}

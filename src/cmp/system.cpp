@@ -27,11 +27,12 @@ constexpr Cycle kWarmupMemoryLatency{40};
 
 /// Keep freed heap memory in the process for the next system. Sweeps build
 /// systems back to back, one alive at a time, and a system's directory
-/// arrays alone take 1 MiB per tile. glibc's default policy hands the top of
-/// the heap back to the kernel once it passes a threshold it derives from
-/// past allocations, so each new system would fault all of that memory in
-/// again. Fixed thresholds (the cap of glibc's own dynamic mmap threshold,
-/// and 128 MiB of free heap top) keep it for reuse. Process-wide; set once.
+/// arrays alone take 288 KiB per tile (4096 lines of 72 B). glibc's default
+/// policy hands the top of the heap back to the kernel once it passes a
+/// threshold it derives from past allocations, so each new system would
+/// fault all of that memory in again. Fixed thresholds (the cap of glibc's
+/// own dynamic mmap threshold, and 128 MiB of free heap top) keep it for
+/// reuse. Process-wide; set once.
 void retain_freed_heap() {
 #ifdef __GLIBC__
   static const bool kSet = mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&

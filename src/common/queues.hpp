@@ -1,7 +1,7 @@
 // Allocation-free hot-path queue primitives. The modeled structures they
-// back are tiny and bounded (per-tile event histories, per-line pending
-// queues that are almost always empty, sequence windows spanning a handful
-// of in-flight messages), so fixed or small-buffer storage is faithful to
+// back are tiny and bounded (per-tile event histories, per-line queues of
+// parked directory requests rarely more than two deep, sequence windows
+// spanning a handful of in-flight messages), so fixed or small-buffer storage is faithful to
 // the hardware as well as fast: no per-element node allocation, no
 // rebalancing, contiguous memory. See docs/performance.md for the capacity
 // arguments at each use site.
@@ -102,9 +102,9 @@ class SmallQueue {
   SmallQueue() = default;
   SmallQueue(const SmallQueue&) = default;
   SmallQueue& operator=(const SmallQueue&) = default;
-  // Moved-from queues must read as empty (call sites move a pending queue
-  // out of its entry and expect the entry's queue drained); the default move
-  // would copy the scalar cursors and leave the source claiming its old size.
+  // Moved-from queues must read as empty (a moved-from queue may be pushed
+  // to again); the default move would copy the scalar cursors and leave the
+  // source claiming its old size.
   SmallQueue(SmallQueue&& other) noexcept { *this = std::move(other); }
   SmallQueue& operator=(SmallQueue&& other) noexcept {
     if (this != &other) {

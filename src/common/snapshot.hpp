@@ -56,8 +56,10 @@ namespace tcmp {
 /// with packet slabs and credit FIFOs; v4 stores the router's fixed-size VC
 /// arrays without per-VC output indices or route flags, lanes without a VC,
 /// cores without a blocked-cycle copy and directories with their
-/// reply-partitioning switch; see docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// reply-partitioning switch; v5 stores each directory's parked requests in
+/// one table instead of a queue per entry and per fill; see
+/// docs/checkpointing.md).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 namespace snapshot_detail {
 

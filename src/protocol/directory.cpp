@@ -106,6 +106,11 @@ std::uint32_t Directory::version_of(LineAddr line) const {
   return l != nullptr ? l->payload.version : 0;
 }
 
+std::size_t Directory::parked_on(LineAddr line) const {
+  const auto it = parked_.find(line);
+  return it != parked_.end() ? it->second.size() : 0;
+}
+
 void Directory::process(const CoherenceMsg& msg) {
   ++l2_accesses_;
   if (hooks_ != nullptr) [[unlikely]] {
@@ -138,9 +143,8 @@ void Directory::handle_request(const CoherenceMsg& msg) {
   const LineAddr line = msg.line;
   TCMP_DCHECK(line.value() % n_nodes_ == id_);
 
-  if (auto it = mem_txns_.find(line); it != mem_txns_.end()) {
-    it->second.pending.push_back(msg);
-    ++queued_msgs_;
+  if (mem_txns_.contains(line)) {
+    park(msg);
     ++queued_on_fill_;
     return;
   }
@@ -166,8 +170,7 @@ void Directory::handle_request(const CoherenceMsg& msg) {
     return;
   }
   if (is_busy(l->payload.state)) {
-    l->payload.pending.push_back(msg);
-    ++queued_msgs_;
+    park(msg);
     ++queued_on_busy_;
     return;
   }
@@ -406,7 +409,7 @@ void Directory::handle_revision(const CoherenceMsg& msg) {
       e.owner = kInvalidNode;
       e.held_put_ack = false;
       if (release_ack) release_put_ack(line, old_owner);
-      drain_pending(std::move(e.pending));
+      drain_pending(line);
       break;
     }
     case DirState::kBusyExcl:
@@ -424,7 +427,7 @@ void Directory::handle_revision(const CoherenceMsg& msg) {
       --busy_lines_;
       e.held_put_ack = false;
       if (release_ack) release_put_ack(line, old_owner);
-      drain_pending(std::move(e.pending));
+      drain_pending(line);
       break;
     case DirState::kBusyRecall:
       TCMP_CHECK(msg.type == MsgType::kRevision);
@@ -453,10 +456,8 @@ void Directory::handle_inv_ack(const CoherenceMsg& msg) {
 }
 
 void Directory::start_fill(LineAddr line, const CoherenceMsg& first) {
-  MemTxn txn;
-  txn.pending.push_back(first);
-  ++queued_msgs_;
-  mem_txns_.emplace(line, std::move(txn));
+  park(first);
+  mem_txns_.emplace(line, MemTxn{});
   memory_pipe_.push(now_ + cfg_.memory_latency, line);
   ++mem_reads_;
 }
@@ -491,8 +492,9 @@ void Directory::try_install_fill(LineAddr line) {
     }
     TCMP_CHECK(ve.state == DirState::kInvalid);
     if (ve.l2_dirty) ++mem_writebacks_;
-    memory_versions_[line_of_key(array_.address_of(*victim))] = ve.version;
-    TCMP_CHECK_MSG(ve.pending.empty(), "evicting a line with queued requests");
+    const LineAddr vline = line_of_key(array_.address_of(*victim));
+    memory_versions_[vline] = ve.version;
+    TCMP_CHECK_MSG(!parked_.contains(vline), "evicting a line with queued requests");
     array_.invalidate(*victim);
     ++l2_evictions_;
   }
@@ -501,9 +503,8 @@ void Directory::try_install_fill(LineAddr line) {
   if (auto mv = memory_versions_.find(line); mv != memory_versions_.end()) {
     victim->payload.version = mv->second;
   }
-  MemTxn txn = std::move(it->second);
   mem_txns_.erase(it);
-  drain_pending(std::move(txn.pending));
+  drain_pending(line);
 }
 
 void Directory::start_recall(Array::Line& l) {
@@ -546,10 +547,10 @@ Directory::WarmGrant Directory::warm_access(LineAddr line, NodeId core,
     Array::Line* victim = array_.victim(key);
     if (victim->valid) {
       DirEntry& ve = victim->payload;
-      TCMP_CHECK_MSG(!is_busy(ve.state) && ve.pending.empty(),
+      const LineAddr vline = line_of_key(array_.address_of(*victim));
+      TCMP_CHECK_MSG(!is_busy(ve.state) && !parked_.contains(vline),
                      "warm L2 eviction hit an in-flight transaction (the "
                      "machine was not drained)");
-      const LineAddr vline = line_of_key(array_.address_of(*victim));
       std::uint32_t v = ve.version;
       if (ve.state == DirState::kShared) {
         for (unsigned n = 0; n < n_nodes_; ++n)
@@ -642,11 +643,11 @@ void Directory::finish_recall(Array::Line& l) {
   TCMP_CHECK(e.state == DirState::kBusyRecall);
   --busy_lines_;
   if (e.l2_dirty) ++mem_writebacks_;
-  memory_versions_[line_of_key(array_.address_of(l))] = e.version;
-  PendingQueue pending = std::move(e.pending);
+  const LineAddr line = line_of_key(array_.address_of(l));
+  memory_versions_[line] = e.version;
   array_.invalidate(l);
   ++l2_evictions_;
-  drain_pending(std::move(pending));
+  drain_pending(line);
   retry_blocked_fills();
 }
 
@@ -664,11 +665,19 @@ void Directory::retry_blocked_fills() {
   for (LineAddr fill_line : ready) try_install_fill(fill_line);
 }
 
-void Directory::drain_pending(PendingQueue msgs) {
+void Directory::park(const CoherenceMsg& msg) {
+  parked_[msg.line].push_back(msg);
+  ++queued_msgs_;
+}
+
+void Directory::drain_pending(LineAddr line) {
+  auto parked = parked_.extract(line);
+  if (parked.empty()) return;
+  PendingQueue& msgs = parked.mapped();
   TCMP_CHECK(queued_msgs_ >= msgs.size());
   queued_msgs_ -= static_cast<unsigned>(msgs.size());
-  // `msgs` was moved out of its entry, so handle_request cannot append to it
-  // (re-queued messages land in the entry's fresh pending queue).
+  // The queue left the table before the replay, so handle_request cannot
+  // append to it: a request that parks again starts the line's fresh queue.
   while (!msgs.empty()) {
     handle_request(msgs.front());
     msgs.pop_front();

@@ -100,6 +100,10 @@ class Directory final {
   [[nodiscard]] unsigned busy_lines() const { return busy_lines_; }
   [[nodiscard]] unsigned queued_msgs() const { return queued_msgs_; }
 
+  /// Test hooks: requests parked on `line`, and lines with parked requests.
+  [[nodiscard]] std::size_t parked_on(LineAddr line) const;
+  [[nodiscard]] std::size_t parked_lines() const { return parked_.size(); }
+
   /// Read-only directory-entry snapshot for invariant scans (verify lint).
   struct EntryView {
     DirState state = DirState::kInvalid;
@@ -147,9 +151,9 @@ class Directory final {
   void warm_writeback(LineAddr line, NodeId owner, bool was_modified,
                       std::uint32_t version);
 
-  /// Checkpoint serialization (common/snapshot.hpp): the directory array
-  /// (entries with their pending queues), both latency pipes, in-flight
-  /// memory transactions, the off-chip version map and occupancy gauges.
+  /// Checkpoint serialization (common/snapshot.hpp): the directory array,
+  /// both latency pipes, in-flight memory transactions, the parked-request
+  /// table, the off-chip version map and occupancy gauges.
   /// The clock is not state: tick() sets it before anything reads it.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
@@ -162,31 +166,32 @@ class Directory final {
     ar.field(access_pipe_);
     ar.field(memory_pipe_);
     ar.field(mem_txns_);
+    ar.field(parked_);
     ar.field(memory_versions_);
     ar.field(busy_lines_);
     ar.field(queued_msgs_);
   }
 
  private:
-  /// Requests parked on a busy line or in-flight fill: almost always empty,
-  /// rarely more than a couple deep, so a small-buffer queue keeps the
-  /// common case allocation-free.
+  /// Requests parked on one line: almost always one or two deep, so a
+  /// small-buffer queue keeps the common case to the table node alone.
   using PendingQueue = SmallQueue<CoherenceMsg, 2>;
 
+  /// Protocol state only, widest fields first, so the array line holding
+  /// it stays at 72 B (static_assert below).
   struct DirEntry {
-    DirState state = DirState::kInvalid;
     SharerMask sharers;  ///< full-map bit vector (up to SharerMask::kMaxNodes)
+    std::uint32_t version = 0;  ///< data-flow validation version
     NodeId owner = kInvalidNode;
     NodeId fwd_requester = kInvalidNode;  ///< requester of an in-flight forward
+    std::uint16_t recall_acks_pending = 0;
+    DirState state = DirState::kInvalid;
     bool l2_dirty = false;      ///< line dirty w.r.t. off-chip memory
     bool held_put_ack = false;  ///< PutAck deferred until the busy resolves
     /// BusyExcl only: the forward requester (new owner) wrote the line back
     /// before the old owner's AckRevision arrived, so the AckRevision must
     /// resolve the entry to Invalid instead of installing the requester.
     bool fwd_put = false;
-    std::uint32_t version = 0;  ///< data-flow validation version
-    std::uint16_t recall_acks_pending = 0;
-    PendingQueue pending;  ///< requests queued while busy
 
     template <typename Ar>
     void snapshot_io(Ar& ar) {
@@ -199,20 +204,22 @@ class Directory final {
       ar.field(fwd_put);
       ar.field(version);
       ar.field(recall_acks_pending);
-      ar.field(pending);
     }
   };
   using Array = CacheArray<DirEntry, DirKey>;
+  // Every run builds sets x ways of these lines per tile (4096 for the
+  // paper's 256 KB slice), so state only a busy line needs lives beside the
+  // array, not in it.
+  static_assert(sizeof(Array::Line) <= 72, "directory line grew past 72 B");
 
-  /// Off-chip fetch in flight for a line not present in L2.
+  /// Off-chip fetch in flight for a line not present in L2 (its waiting
+  /// requests, the first one included, are parked in `parked_`).
   struct MemTxn {
     bool fill_arrived = false;
-    PendingQueue pending;
 
     template <typename Ar>
     void snapshot_io(Ar& ar) {
       ar.field(fill_arrived);
-      ar.field(pending);
     }
   };
 
@@ -231,7 +238,8 @@ class Directory final {
   void retry_blocked_fills();
   void start_recall(Array::Line& l);
   void finish_recall(Array::Line& l);
-  void drain_pending(PendingQueue msgs);
+  void park(const CoherenceMsg& msg);
+  void drain_pending(LineAddr line);
 
   void reply_data(const CoherenceMsg& req, MsgType type, std::uint16_t acks,
                   std::uint32_t version);
@@ -262,6 +270,10 @@ class Directory final {
   FifoDelayQueue<CoherenceMsg> access_pipe_;  ///< models the L2 access latency
   FifoDelayQueue<LineAddr> memory_pipe_;      ///< off-chip fills in flight
   std::unordered_map<LineAddr, MemTxn> mem_txns_;
+  /// FIFO per line of the requests waiting on a busy line or an in-flight
+  /// fill; a line has an entry only while something waits on it, so the
+  /// table is empty whenever the directory is quiescent.
+  std::unordered_map<LineAddr, PendingQueue> parked_;
   /// Validation versions of lines written back to off-chip memory.
   std::unordered_map<LineAddr, std::uint32_t> memory_versions_;
   unsigned busy_lines_ = 0;    ///< dir entries in a Busy* state

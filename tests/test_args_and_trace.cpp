@@ -241,6 +241,19 @@ TEST(TcmpsimCli, RefusesHetWithoutScheme) {
 TEST(TcmpsimCli, RefusesMissingReplayFile) {
   expect_refused("--replay " + ::testing::TempDir() + "no_such_trace.tct", "--replay");
 }
+TEST(TcmpsimCli, RefusesMissingCheckpointFile) {
+  expect_refused("--app FFT --scale 0.01 --checkpoint-in " + ::testing::TempDir() +
+                     "no_such_checkpoint.snp",
+                 "--checkpoint-in");
+}
+TEST(TcmpsimCli, RefusesCheckpointForEveryApp) {
+  // One snapshot holds one workload; the file exists, so only --app all is
+  // at fault.
+  const std::string path = ::testing::TempDir() + "tcmp_cli_any_checkpoint.snp";
+  std::ofstream(path) << "x";
+  expect_refused("--app all --scale 0.01 --checkpoint-in " + path, "--app all");
+  std::remove(path.c_str());
+}
 TEST(TcmpsimCli, RefusesUnknownFormat) { expect_refused("--format xml", "--format"); }
 TEST(TcmpsimCli, RefusesCheckpointAtWithoutOut) {
   expect_refused("--checkpoint-at 100", "--checkpoint-out");

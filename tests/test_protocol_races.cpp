@@ -4,6 +4,9 @@
 // suite in test_protocol.cpp covers the combinations).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "protocol_test_fabric.hpp"
 
 namespace tcmp::protocol {
@@ -247,6 +250,92 @@ TEST(ProtocolRaces, RequestsQueueOnBusyLine) {
   EXPECT_EQ(f.l1(3).state_of(x), L1State::kM);
   EXPECT_EQ(f.dir(f.home_of(x)).owner_of(x), 3);
   f.check_invariants({x});
+}
+
+// Parked requests live in one table per home slice, a FIFO per line. Three
+// requests park on busy line x and one on busy line y at the same home.
+// When x resolves, its queue leaves the table and replays in arrival order:
+// the GetX is served, the GetS behind it makes x busy again, and the last
+// GetS parks anew in a fresh queue, served when x resolves again. y's queue
+// is untouched throughout, and the table is empty once the home is
+// quiescent.
+TEST(ProtocolRaces, ParkedRequestsDrainInArrivalOrderPerLine) {
+  TestFabric::Options opt;
+  opt.nodes = 8;
+  TestFabric f(opt);
+  const LineAddr x{0x10}, y{0x18};  // both homed at tile 0
+  const NodeId home = f.home_of(x);
+  ASSERT_EQ(home, f.home_of(y));
+  Directory& dir = f.dir(home);
+  f.access(1, x, true);  // core 1 owns x (M)
+  f.access(5, y, true);  // core 5 owns y (M)
+  f.run_until_quiescent();
+
+  // The requester of every grant or forward the home sends, per line, in
+  // send order (tile 0 never owns x or y, so its L1 sends none of these).
+  std::map<std::uint64_t, std::vector<unsigned>> served;
+  f.set_delay_fn([&](const CoherenceMsg& msg) -> std::optional<Cycle> {
+    if (msg.src == home &&
+        (msg.type == MsgType::kData || msg.type == MsgType::kDataExcl ||
+         msg.type == MsgType::kUpgradeAck || msg.type == MsgType::kFwdGetS ||
+         msg.type == MsgType::kFwdGetX)) {
+      served[msg.line.value()].push_back(msg.requester);
+    }
+    // Slow revisions keep both lines busy; y's outlasts everything on x.
+    if (msg.type == MsgType::kRevision || msg.type == MsgType::kAckRevision)
+      return msg.line == y ? Cycle{600} : Cycle{60};
+    return std::nullopt;
+  });
+  const auto step_for = [&f](unsigned cycles) {
+    for (unsigned i = 0; i < cycles; ++i) f.step();
+  };
+  f.access_async(2, x, false);  // FwdGetS to core 1: x busy
+  f.access_async(6, y, false);  // FwdGetS to core 5: y busy
+  step_for(15);
+  f.access_async(3, x, true);  // parks on x
+  step_for(5);
+  f.access_async(4, x, false);  // parks on x
+  step_for(5);
+  f.access_async(0, x, false);  // parks on x
+  step_for(5);
+  f.access_async(7, y, false);  // parks on y
+  step_for(15);
+  ASSERT_EQ(dir.dir_state_of(x), DirState::kBusyShared);
+  EXPECT_EQ(dir.parked_on(x), 3u);
+  EXPECT_EQ(dir.parked_on(y), 1u);
+  EXPECT_EQ(dir.parked_lines(), 2u);
+  EXPECT_EQ(dir.queued_msgs(), 4u);
+
+  // x resolves: core 3's GetX is served, core 4's GetS forwards to the new
+  // owner (x busy again) and core 0's GetS parks in a fresh queue.
+  while (dir.parked_on(x) == 3) {
+    ASSERT_LT(f.now(), Cycle{5000}) << "x never resolved";
+    f.step();
+  }
+  EXPECT_EQ(dir.parked_on(x), 1u);
+  EXPECT_EQ(dir.dir_state_of(x), DirState::kBusyShared);
+  EXPECT_EQ(served[x.value()], (std::vector<unsigned>{2, 3, 4}));
+  EXPECT_EQ(f.stats().counter_value("dir.queued_on_busy"), 5u);
+
+  // x resolves again and serves core 0; y has not moved.
+  while (dir.parked_on(x) == 1) {
+    ASSERT_LT(f.now(), Cycle{5000}) << "x never resolved again";
+    f.step();
+  }
+  EXPECT_EQ(served[x.value()], (std::vector<unsigned>{2, 3, 4, 0}));
+  EXPECT_EQ(dir.dir_state_of(y), DirState::kBusyShared);
+  EXPECT_EQ(dir.parked_on(y), 1u);
+  EXPECT_EQ(dir.parked_lines(), 1u);
+  EXPECT_EQ(served[y.value()], (std::vector<unsigned>{6}));
+
+  f.run_until_quiescent();
+  f.set_delay_fn(nullptr);
+  EXPECT_EQ(served[y.value()], (std::vector<unsigned>{6, 7}));
+  EXPECT_EQ(dir.parked_lines(), 0u);
+  EXPECT_EQ(dir.queued_msgs(), 0u);
+  EXPECT_EQ(f.l1(0).state_of(x), L1State::kS);
+  EXPECT_EQ(f.l1(7).state_of(y), L1State::kS);
+  f.check_invariants({x, y});
 }
 
 // A line's version survives a full migration chain: writes at three

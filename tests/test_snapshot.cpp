@@ -8,6 +8,7 @@
 // trajectory as the workload it captured.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "compression/scheme.hpp"
+#include "protocol/directory.hpp"
 #include "workloads/app_params.hpp"
 #include "workloads/synthetic_app.hpp"
 #include "workloads/trace_io.hpp"
@@ -175,6 +177,19 @@ TEST(SnapshotArchiveDeathTest, RefusesVersionThreeStreams) {
   EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
 }
 
+TEST(SnapshotArchiveDeathTest, RefusesVersionFourStreams) {
+  // Version 4 stored a pending-request queue in every directory entry and
+  // every memory transaction; version 5 stores one parked-request table
+  // per directory.
+  std::stringstream buf;
+  SnapshotWriter w(buf);
+  w.raw_bytes(snapshot_detail::kMagic, sizeof snapshot_detail::kMagic);
+  w.raw_u64(4);
+  w.field(std::string("x"));
+  SnapshotReader r(buf);
+  EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
+}
+
 // ---- full-system checkpoint/restore --------------------------------------
 
 struct FinalReport {
@@ -223,11 +238,22 @@ std::pair<unsigned, unsigned> flits_in_network(const cmp::CmpSystem& system) {
   return {buffered, on_links};
 }
 
+/// Per tile's directory: requests parked (on a busy line or a fill) and the
+/// lines they wait on.
+std::vector<std::pair<unsigned, std::size_t>> parked_per_dir(cmp::CmpSystem& system) {
+  std::vector<std::pair<unsigned, std::size_t>> parked;
+  for (unsigned t = 0; t < system.config().n_tiles; ++t) {
+    const protocol::Directory& dir = system.directory(t);
+    parked.emplace_back(dir.queued_msgs(), dir.parked_lines());
+  }
+  return parked;
+}
+
 // Interrupted-vs-uninterrupted identity at thread count K: run A end to end;
 // run B past a mid-run cycle to the first cycle with flits both buffered in
-// routers and in flight on links, checkpoint, restore into a freshly
-// constructed system C and finish there. A and C must agree on every
-// reported number.
+// routers and in flight on links and a request parked at some directory,
+// checkpoint, restore into a freshly constructed system C and finish there.
+// A and C must agree on every reported number.
 void check_restore_identity(unsigned threads) {
   auto cfg = cmp::CmpConfig::cheng3way();
   cfg.threads = threads;
@@ -240,8 +266,12 @@ void check_restore_identity(unsigned threads) {
   ASSERT_FALSE(saver.run(Cycle{30'000}));  // mid-run: must not have finished
   for (;;) {
     const auto [buffered, on_links] = flits_in_network(saver);
-    if (buffered > 0 && on_links > 0) break;
-    ASSERT_LT(saver.total_cycles(), Cycle{40'000}) << "network never mid-flight";
+    const auto parked = parked_per_dir(saver);
+    const bool any_parked = std::any_of(parked.begin(), parked.end(),
+                                        [](const auto& p) { return p.first > 0; });
+    if (buffered > 0 && on_links > 0 && any_parked) break;
+    ASSERT_LT(saver.total_cycles(), Cycle{40'000})
+        << "network never mid-flight with a request parked";
     saver.step();
   }
   const Cycle at = saver.total_cycles();
@@ -252,6 +282,7 @@ void check_restore_identity(unsigned threads) {
   restored.load_checkpoint(checkpoint);
   EXPECT_EQ(restored.total_cycles(), at);
   EXPECT_EQ(flits_in_network(restored), flits_in_network(saver));
+  EXPECT_EQ(parked_per_dir(restored), parked_per_dir(saver));
   EXPECT_TRUE(restored.network().work_sets_cover_work());
   EXPECT_TRUE(restored.due_arrays_cover_work());
   ASSERT_TRUE(restored.run(Cycle{50'000'000}));

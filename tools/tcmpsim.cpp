@@ -35,7 +35,9 @@
 //   --checkpoint-at N     cycle at which --checkpoint-out snapshots (requires
 //                         --checkpoint-out)
 //   --checkpoint-in FILE  restore a snapshot (same config/workload/threads)
-//                         and continue to completion
+//                         and continue to completion; one snapshot holds one
+//                         workload, so not with --app all (restore the
+//                         per-app snapshots it writes one --app at a time)
 //   --sample SPEC         SMARTS interval sampling (requires --threads 1, no
 //                         observer): SPEC = mode=interval,warmup=W,detail=D,
 //                         period=P — detailed windows of D instructions per
@@ -404,6 +406,18 @@ int main(int argc, char** argv) {
   }
   if (!o.replay.empty() && !std::ifstream(o.replay)) {
     std::fprintf(stderr, "cannot open --replay file %s\n", o.replay.c_str());
+    return 2;
+  }
+  if (!o.checkpoint_in.empty() && o.replay.empty() && o.app == "all") {
+    std::fprintf(stderr,
+                 "--checkpoint-in restores one workload's snapshot, not --app "
+                 "all's: restore each app's own (s.FFT.snp from --app all "
+                 "--checkpoint-out s.snp) with its --app\n");
+    return 2;
+  }
+  if (!o.checkpoint_in.empty() && !std::ifstream(o.checkpoint_in)) {
+    std::fprintf(stderr, "cannot open --checkpoint-in file %s\n",
+                 o.checkpoint_in.c_str());
     return 2;
   }
   if (o.replay.empty() && o.app != "all" && !known_app(o.app)) {

@@ -28,6 +28,7 @@
 //   bench.partition.speedup                              LOWER is worse
 //   bench.sampling.speedup                               LOWER is worse
 //   bench.sampling.cycle_error                           higher is worse
+//   bench.mesh.peak_rss_mib                              higher is worse
 // A row is gated when the BASE document has its section (run, counters,
 // bench.kernel, ...); a gated row missing from either document counts as a
 // regression (MISSING). A compare that gates no row exits 2.
@@ -72,6 +73,7 @@ constexpr KeyMetric kKeyMetrics[] = {
     {"bench.partition", "speedup", Direction::kLowerWorse},
     {"bench.sampling", "speedup", Direction::kLowerWorse},
     {"bench.sampling", "cycle_error", Direction::kHigherWorse},
+    {"bench.mesh", "peak_rss_mib", Direction::kHigherWorse},
 };
 
 bool load(const std::string& path, json::Value& out) {

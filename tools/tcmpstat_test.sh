@@ -93,6 +93,7 @@ bench_case hotpath stat-bump.speedup:54:40.5 \
   saturated-traffic.kcps_per_mops:0.6:0.45
 bench_case partition speedup:1.2:0.9
 bench_case sampling speedup:10:7.5 cycle_error:0.1:0.125
+bench_case mesh peak_rss_mib:100:125
 
 # A document whose sections gate nothing must not pass as "no regressions".
 bench_doc nosuchgroup speedup:1 > nogate.json
