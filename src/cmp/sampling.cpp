@@ -143,6 +143,9 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
   const unsigned n = sys_.cfg_.n_tiles;
   std::vector<std::uint64_t> remaining(n, cfg_.period);
   std::uint64_t consumed = 0;
+  // The barrier controller's done count. Cores change state here outside
+  // the cycle loop, so the driver's core sets are rebuilt at the end.
+  unsigned done = sys_.done_cores();
   bool progress = true;
   while (progress) {
     progress = false;
@@ -159,7 +162,7 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
           case core::OpKind::kDone: {
             core.warm_mark_done();
             remaining[c] = 0;
-            sys_.release_if_complete(sys_.done_cores());
+            sys_.release_if_complete(++done);
             break;
           }
           case core::OpKind::kBarrier:
@@ -167,7 +170,7 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
             // records the arrival (and releases — including the warmup
             // boundary — when the last stream gets here).
             core.warm_arrive_barrier();
-            if (sys_.arrive(c, op.count, sys_.done_cores())) {
+            if (sys_.arrive(c, op.count, done)) {
               sys_.release_barrier();
             }
             break;
@@ -194,6 +197,7 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
       }
     }
   }
+  sys_.rebuild_core_sets();
   return consumed;
 }
 
@@ -259,6 +263,7 @@ bool SampledRun::run(Cycle max_detailed_cycles) {
   // a quiescent handoff point.
   fence_all(true);
   drain();
+  handoff();
   // The workload's own warmup phase must never land inside a measured
   // window: end_warmup() restarts the cycle/instruction origin the full-
   // detail report measures from (and switches the directories off the
@@ -272,6 +277,7 @@ bool SampledRun::run(Cycle max_detailed_cycles) {
         fast_forward(/*stop_at_warmup_boundary=*/true);
   }
   fence_all(false);
+  handoff();
   // Detail-first: the measured phase opens with a measured window, so even
   // a workload shorter than one sampling period yields a CPI estimate — and
   // the post-warmup machine state the full-detail reference measures from
@@ -310,6 +316,7 @@ bool SampledRun::run(Cycle max_detailed_cycles) {
     // The drain is handoff mechanics, outside the measurement entirely.
     fence_all(true);
     drain();
+    handoff();
     if (di > 0) {
       window_cpi_.push_back(static_cast<double>(dc.value()) /
                             static_cast<double>(di));
@@ -319,6 +326,7 @@ bool SampledRun::run(Cycle max_detailed_cycles) {
     if (sys_.finished() || sys_.aborted_) break;
     res_.functional_instructions += fast_forward();
     fence_all(false);
+    handoff();
   }
   fence_all(false);
   finalize();

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,6 +90,11 @@ class SampledRun {
   /// the workload completed within the budget and nothing aborted.
   bool run(Cycle max_detailed_cycles = Cycle{500'000'000});
 
+  /// Run `probe` at every detailed <-> functional handoff, once the machine
+  /// is drained for the functional phase and once it is unfenced after it
+  /// (tests check the driver's derived work sets there).
+  void set_handoff_probe(std::function<void()> probe) { probe_ = std::move(probe); }
+
   [[nodiscard]] const SamplingResult& result() const { return res_; }
   /// Accumulated measured-window registry (unscaled window events).
   [[nodiscard]] const StatRegistry& window_stats() const { return accum_; }
@@ -100,6 +106,9 @@ class SampledRun {
  private:
   /// Fence/unfence every core (the detailed <-> functional handoff).
   void fence_all(bool fenced);
+  void handoff() {
+    if (probe_) probe_();
+  }
   /// Every core parked (done / drained / at a barrier) and the memory
   /// system + network fully quiescent: warm access becomes legal.
   [[nodiscard]] bool handoff_ready() const;
@@ -132,6 +141,7 @@ class SampledRun {
   SamplingResult res_;
   std::vector<double> window_cpi_;
   Cycle total_detailed_{0};
+  std::function<void()> probe_;
 };
 
 /// Paper-metric harvest of a sampled run: make_result over the scaled

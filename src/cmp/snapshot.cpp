@@ -96,15 +96,14 @@ void CmpSystem::save_checkpoint(std::ostream& out) {
   TCMP_CHECK_MSG(!aborted_, "cannot checkpoint an aborted run");
   TCMP_CHECK_MSG(workload_->can_snapshot(),
                  "this workload does not support checkpointing");
-  // A checkpoint lands between cycles, after the serial epilogue published
-  // this cycle's boundary events. Apply them now — the identical write the
-  // next cycle's drain phase would make (deadlines are all in the future),
-  // so the continuing run and the snapshot agree — leaving the boundary
-  // channels provably empty.
-  for (unsigned p = 0; p < n_parts_; ++p) network_->drain_boundary(p);
+  // A checkpoint lands between cycles, with the boundary events the last
+  // live cycle pushed still in their channels. Apply them now — the
+  // identical writes the next cycle's drains would make (deadlines are all
+  // in the future), so the continuing run and the snapshot agree — leaving
+  // the boundary channels provably empty.
+  network_->apply_boundaries();
   // Barrier-replay scratch lists are consumed within the epilogue.
   for (const auto& part : parts_) TCMP_CHECK(part->events.empty());
-  TCMP_CHECK(network_->boundaries_empty());
   SnapshotWriter w(out);
   write_snapshot_header(w, snapshot_fingerprint());
   snapshot_io(w);
@@ -117,6 +116,7 @@ void CmpSystem::load_checkpoint(std::istream& in) {
   snapshot_io(r);
   TCMP_CHECK_MSG(r.good(), "checkpoint read failed");
   rebuild_due_arrays();
+  rebuild_core_sets();
   // The restored clock invalidates any hoisted cadence computed before the
   // load; a check installed pre-restore is re-anchored here.
   if (periodic_check_ != nullptr && check_interval_ != Cycle{0}) {

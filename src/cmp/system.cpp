@@ -1,7 +1,6 @@
 #include "cmp/system.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <ostream>
 #include <thread>
 #ifdef __GLIBC__
@@ -79,6 +78,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
         part->shard->counter_ref("msg_remote.uncompressed_bytes");
     part->dir_due.assign(plan_.count(p), kNeverCycle);
     part->loop_due.assign(plan_.count(p), kNeverCycle);
+    part->blocked_cycles = part->shard->counter_ref("core.blocked_cycles");
     shards.push_back(part->shard);
     parts_.push_back(std::move(part));
   }
@@ -125,6 +125,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
         [this, core = tile->core.get(), id](LineAddr line) {
           const bool was_stalled = core->stalled_on(line);
           core->on_fill(line);
+          mark_if_runnable(id);
           obs::SlackTelemetry* const sl = slack_for(id);
           if (was_stalled && sl != nullptr) [[unlikely]] {
             sl->on_unstall(id, line, now_);
@@ -134,6 +135,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     tile->l1i->set_fill_callback([this, core = tile->core.get(), id] {
       const bool was_stalled = core->stalled_on_ifetch();
       core->on_ifill();
+      mark_if_runnable(id);
       obs::SlackTelemetry* const sl = slack_for(id);
       if (was_stalled && sl != nullptr) [[unlikely]] {
         sl->on_unstall_ifetch(id, now_);
@@ -141,6 +143,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     });
     tiles_.push_back(std::move(tile));
   }
+  rebuild_core_sets();
 
   network_->set_deliver([this](NodeId node, const CoherenceMsg& msg) {
     tiles_[node]->nic->receive(
@@ -342,15 +345,14 @@ void CmpSystem::on_barrier(unsigned core, std::uint32_t id) {
     replay_arrival(core, id);
     return;
   }
-  // Parallel phase: queue the arrival; the serial epilogue replays the
+  // Parallel phase: queue the arrival; the serial step replays the
   // per-partition lists in global tile order (docs/partitioning.md).
   parts_[part_of_[core]]->events.push_back(BarrierEvent{core, id, false});
 }
 
 unsigned CmpSystem::done_cores() const {
   unsigned done = 0;
-  for (const auto& t : tiles_)
-    if (t->core->done()) ++done;
+  for (const auto& part : parts_) done += part->done;
   return done;
 }
 
@@ -376,6 +378,7 @@ void CmpSystem::release_barrier() {
     if (at_barrier_[c]) {
       at_barrier_[c] = false;
       tiles_[c]->core->barrier_release();
+      mark_if_runnable(c);
     }
   }
   waiting_ = 0;
@@ -415,9 +418,10 @@ void CmpSystem::set_periodic_check(Cycle interval, PeriodicCheck check) {
 
 void CmpSystem::step() {
   serial_prologue<false>();
-  // Sequential execution of the parallel phases is equivalent to the
-  // threaded run: the phases only exchange state through the double-buffered
-  // boundary channels and stall snapshots, both swapped by the epilogue.
+  // Sequential execution of the phases is equivalent to the threaded run:
+  // the phases only exchange state through the parity-buffered boundary
+  // channels, which a consumer drains in its next phase, and the stall
+  // snapshots, which the epilogue swaps.
   for (unsigned p = 0; p < n_parts_; ++p) parallel_phase<false>(p);
   serial_epilogue<false>();
 }
@@ -435,7 +439,10 @@ void CmpSystem::advance_idle(Cycle target) {
   // The only side effect a dead cycle has in the per-cycle loop is blocked-
   // core accounting (every other component's tick is a provable no-op, which
   // is what made the cycles skippable in the first place).
-  for (auto& t : tiles_) t->core->account_idle(skipped);
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    Partition& P = *parts_[p];
+    P.blocked_cycles += skipped.value() * P.blocked(plan_.count(p));
+  }
   now_ = target;
 }
 
@@ -471,11 +478,42 @@ void CmpSystem::rebuild_due_arrays() {
   }
 }
 
-bool CmpSystem::partition_finished(unsigned p) const {
-  for (const auto& tile : tiles_of(p)) {
-    if (!tile->core->done()) return false;
+bool CmpSystem::core_sets_match_cores() const {
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    const Partition& P = *parts_[p];
+    const auto tiles = tiles_of(p);
+    unsigned done = 0;
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      // tcmplint: tile-seam (single-threaded test check, between cycles)
+      const bool runnable = tiles[i]->core->runnable();
+      if (P.running.test(i) != runnable) return false;
+      if (tiles[i]->core->done()) ++done;
+    }
+    if (done != P.done) return false;
   }
-  return partition_quiescent(p);
+  return true;
+}
+
+void CmpSystem::rebuild_core_sets() {
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    Partition& P = *parts_[p];
+    const auto tiles = tiles_of(p);
+    P.running.clear();
+    P.done = 0;
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      if (tiles[i]->core->runnable()) P.running.set(i);
+      if (tiles[i]->core->done()) ++P.done;
+    }
+  }
+}
+
+void CmpSystem::mark_if_runnable(unsigned tile) {
+  const unsigned p = part_of_[tile];
+  if (tiles_[tile]->core->runnable()) parts_[p]->running.set(tile - plan_.first(p));
+}
+
+bool CmpSystem::partition_finished(unsigned p) const {
+  return parts_[p]->done == plan_.count(p) && partition_quiescent(p);
 }
 
 bool CmpSystem::partition_quiescent(unsigned p) const {
@@ -505,12 +543,13 @@ Cycle CmpSystem::partition_next_wake(unsigned p) {
     nxt = std::min(nxt, at);
     return false;
   };
-  const auto tiles = tiles_of(p);
-  for (const auto& tile : tiles) {
-    if (hot(kScanCore, tile->core->next_event())) return next_cycle;
-  }
-  if (hot(kScanNetwork, network_->next_event_partition(p))) return next_cycle;
   const Partition& P = *parts_[p];
+  const auto tiles = tiles_of(p);
+  // Only a running core can want the next cycle (Core::next_event); the
+  // first one that is not fence-parked ends the scan.
+  const auto hot_core = [&](unsigned i) { return hot(kScanCore, tiles[i]->core->next_event()); };
+  if (P.running.any_of(hot_core)) return next_cycle;
+  if (hot(kScanNetwork, network_->next_event_partition(p))) return next_cycle;
   for (const Cycle due : P.dir_due) {
     if (hot(kScanDir, due)) return next_cycle;
   }
@@ -543,8 +582,8 @@ void CmpSystem::parallel_phase(unsigned p) {
   Partition& P = *parts_[p];
   const auto tiles = tiles_of(p);
   const unsigned lo = plan_.first(p);
-  // Apply the boundary events the last serial epilogue published for this
-  // partition, then run the classic component sequence, cut to this
+  // Apply the boundary events the neighbours pushed in the last live
+  // cycle, then run the classic component sequence, cut to this
   // partition's tiles and routers.
   network_->drain_boundary(p);
   network_->tick_partition(p, now_);
@@ -566,16 +605,24 @@ void CmpSystem::parallel_phase(unsigned p) {
     P.dir_due[i] = tiles[i]->dir->next_event();
   }
   if constexpr (kProfiled) prof_->lap(sc_dirs_);
-  for (unsigned i = 0; i < tiles.size(); ++i) {
-    // Ticking a done core is a no-op, so skipping it is free — and it lets
-    // the tick below detect the run->done transition, which the barrier
-    // replay needs at this core's position in serial tile order.
+  // Only running cores tick. A blocked core's tick would only count a
+  // blocked cycle, into the shard slot every core of the partition bumps,
+  // so the partition counts them all at once; a done core's tick is a
+  // no-op. A tick that blocks or finishes its core drops it from the set,
+  // recording the run->done transition, which the barrier replay needs at
+  // the core's position in serial tile order.
+  P.blocked_cycles += P.blocked(static_cast<unsigned>(tiles.size()));
+  P.running.for_each([&](unsigned i) {
     // tcmplint: tile-seam (same-tile: the owning partition ticks its own core)
     core::Core& core = *tiles[i]->core;
-    if (core.done()) continue;
     core.tick(now_);
-    if (core.done()) P.events.push_back(BarrierEvent{lo + i, 0, true});
-  }
+    if (core.runnable()) return;
+    P.running.reset(i);
+    if (core.done()) {
+      ++P.done;
+      P.events.push_back(BarrierEvent{lo + i, 0, true});
+    }
+  });
   if (!stall_next_.empty()) {
     for (unsigned i = 0; i < tiles.size(); ++i) {
       tiles[i]->core->snapshot_stall(stall_next_[lo + i]);
@@ -583,6 +630,7 @@ void CmpSystem::parallel_phase(unsigned p) {
   }
   if constexpr (kProfiled) prof_->lap(sc_cores_);
   P.finished = partition_finished(p);
+  P.pushed = network_->pushed_earliest(p);
   if constexpr (kProfiled) prof_->lap(sc_drain_);
   // The next wake only feeds the dead-cycle skip.
   if (!dead_cycle_skipping_) return;
@@ -607,10 +655,6 @@ void CmpSystem::replay_arrival(unsigned core, std::uint32_t id) {
 }
 
 bool CmpSystem::replay_barrier_events() {
-  bool any_events = false;
-  for (const auto& part : parts_) any_events |= !part->events.empty();
-  // Nothing recorded and nobody waiting: no release is possible.
-  if (!any_events && waiting_ == 0) return false;
   // Cores done *before this cycle*: total done now minus the run->done
   // transitions the parallel phases recorded. A tile-order walk counts a
   // core as done only once it has passed the core's transition; the cursor
@@ -622,38 +666,46 @@ bool CmpSystem::replay_barrier_events() {
   }
   replay_done_count_ = done_cores() - done_events;
   replay_any_action_ = false;
-  if (any_events) {
-    // Concatenating the per-partition lists yields global tile order:
-    // partitions own contiguous tile ranges and record in tile order.
-    std::vector<BarrierEvent> ev;
-    for (auto& part : parts_) {
-      ev.insert(ev.end(), part->events.begin(), part->events.end());
-      part->events.clear();
-    }
-    replay_retick_.assign(cfg_.n_tiles, false);
-    replaying_ = true;
-    std::size_t cursor = 0;
-    for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
-      if (replay_retick_[t]) {
-        // Released by an earlier arrival this cycle: this is the core's real
-        // tick for the cycle (its provisional blocked tick was undone). It
-        // can arrive at the next barrier or finish right here; both route
-        // back through the replay bookkeeping.
-        tiles_[t]->core->tick(now_);
-        if (tiles_[t]->core->done()) ++replay_done_count_;
-        replay_any_action_ = true;
-      }
-      while (cursor < ev.size() && ev[cursor].core == t) {
-        if (ev[cursor].done) {
-          ++replay_done_count_;
-        } else {
-          replay_arrival(t, ev[cursor].id);
-        }
-        ++cursor;
-      }
-    }
-    replaying_ = false;
+  // Concatenating the per-partition lists yields global tile order:
+  // partitions own contiguous tile ranges and record in tile order.
+  std::vector<BarrierEvent> ev;
+  for (auto& part : parts_) {
+    ev.insert(ev.end(), part->events.begin(), part->events.end());
+    part->events.clear();
   }
+  replay_retick_.assign(cfg_.n_tiles, false);
+  replaying_ = true;
+  std::size_t cursor = 0;
+  for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
+    if (replay_retick_[t]) {
+      // Released by an earlier arrival this cycle: this is the core's real
+      // tick for the cycle (its provisional blocked tick was undone). It
+      // can arrive at the next barrier or finish right here; both route
+      // back through the replay bookkeeping, and either drops it from its
+      // partition's running set (unless its arrival released it again).
+      // tcmplint: tile-seam (single-threaded serial step, every phase parked)
+      core::Core& core = *tiles_[t]->core;
+      core.tick(now_);
+      if (!core.runnable()) {
+        Partition& P = *parts_[part_of_[t]];
+        P.running.reset(t - plan_.first(part_of_[t]));
+        if (core.done()) {
+          ++P.done;
+          ++replay_done_count_;
+        }
+      }
+      replay_any_action_ = true;
+    }
+    while (cursor < ev.size() && ev[cursor].core == t) {
+      if (ev[cursor].done) {
+        ++replay_done_count_;
+      } else {
+        replay_arrival(t, ev[cursor].id);
+      }
+      ++cursor;
+    }
+  }
+  replaying_ = false;
   // The post-tick check: a core finishing can release a barrier every other
   // core is already in.
   if (release_if_complete(replay_done_count_)) replay_any_action_ = true;
@@ -662,7 +714,11 @@ bool CmpSystem::replay_barrier_events() {
 
 template <bool kProfiled>
 Cycle CmpSystem::serial_epilogue() {
-  const bool action = replay_barrier_events();
+  // A barrier completes only on an arrival or a done transition, and the
+  // phases record both: with no event this cycle no release is possible.
+  bool events = false;
+  for (const auto& part : parts_) events |= !part->events.empty();
+  const bool action = events && replay_barrier_events();
   if constexpr (kProfiled) prof_->lap(sc_barrier_);
   // Publish this cycle's stall snapshots for the next cycle's slack probes.
   if (!stall_next_.empty()) stall_published_.swap(stall_next_);
@@ -673,18 +729,21 @@ Cycle CmpSystem::serial_epilogue() {
     check_due_ += check_interval_;
   }
   if constexpr (kProfiled) prof_->lap(sc_check_);
-  const Cycle boundary_next = network_->exchange_boundaries();
   if (action) {
     // Barrier releases / re-ticks may have produced new work anywhere; the
     // partitions' next wakes are stale. Run the next cycle live.
     epilogue_finished_ = finished();
     return now_ + 1;
   }
-  bool fin = boundary_next == kNeverCycle;
-  for (unsigned p = 0; fin && p < n_parts_; ++p) fin = parts_[p]->finished;
+  // Flits pushed across a boundary this cycle keep the run going and bound
+  // the skip: their consumers' next wakes do not know about them yet.
+  bool fin = true;
+  Cycle nxt = kNeverCycle;
+  for (const auto& part : parts_) {
+    fin = fin && part->finished && part->pushed == kNeverCycle;
+    nxt = std::min({nxt, part->next_wake, part->pushed});
+  }
   epilogue_finished_ = fin;
-  Cycle nxt = boundary_next;
-  for (const auto& part : parts_) nxt = std::min(nxt, part->next_wake);
   return nxt;
 }
 
@@ -697,47 +756,53 @@ bool CmpSystem::run_partitioned(Cycle max_cycles) {
   // barrier. K = 1 runs on this thread: no workers, no barrier.
   const unsigned n_threads =
       std::clamp(std::thread::hardware_concurrency(), 1u, n_parts_);
-  const bool threaded = n_threads > 1;
-  sim::SpinBarrier barrier(n_threads);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  for (unsigned j = 1; j < n_threads; ++j) {
-    workers.emplace_back([this, j, n_threads, &barrier, &stop] {
-      for (;;) {
-        barrier.arrive_and_wait();  // cycle start: prologue published
-        if (stop.load(std::memory_order_acquire)) return;
-        for (unsigned p = j; p < n_parts_; p += n_threads) parallel_phase<false>(p);
-        barrier.arrive_and_wait();  // cycle end: hand over to the epilogue
-      }
-    });
-  }
   bool completed = false;
-  while (now_ < max_cycles && !aborted_) {
-    serial_prologue<kProfiled>();
-    if (threaded) barrier.arrive_and_wait();
-    for (unsigned p = 0; p < n_parts_; p += n_threads) parallel_phase<kProfiled>(p);
-    if (threaded) barrier.arrive_and_wait();
+  bool stop = now_ >= max_cycles || aborted_;
+  // The serial step between two live cycles, run by the last thread to
+  // reach the barrier while the others wait: this cycle's epilogue, the
+  // dead-cycle skip and the next cycle's prologue.
+  const auto between_cycles = [&] {
     const Cycle nxt = serial_epilogue<kProfiled>();
     if constexpr (kProfiled) prof_->lap(sc_drain_);
     if (epilogue_finished_) {
-      completed = true;
-      break;
+      completed = stop = true;
+      return;
     }
-    if (!dead_cycle_skipping_) continue;
-    // Every cycle in (now_, nxt) is globally dead — every partition's next
-    // wake and the boundary-channel deadlines (exchange_boundaries folded
-    // them into nxt) agree: jump to just before the next live cycle.
-    // kNeverCycle (deadlock: nothing will ever act again) clamps to the
-    // horizon, replicating the seed's spin to max_cycles — including its
-    // blocked-core accounting. At the horizon there is nothing to skip.
-    const Cycle target = std::min(Cycle{nxt.value() - 1}, max_cycles);
-    if (target <= now_) continue;
-    advance_idle(target);
-    if constexpr (kProfiled) prof_->lap(sc_idle_);
-  }
-  if (threaded) {
-    stop.store(true, std::memory_order_release);
-    barrier.arrive_and_wait();
+    if (dead_cycle_skipping_) {
+      // Every cycle in (now_, nxt) is globally dead — every partition's
+      // next wake and pushed-flit horizon agree: jump to just before the
+      // next live cycle. kNeverCycle (deadlock: nothing will ever act
+      // again) clamps to the horizon, replicating the seed's spin to
+      // max_cycles — including its blocked-core accounting. At the horizon
+      // there is nothing to skip.
+      const Cycle target = std::min(Cycle{nxt.value() - 1}, max_cycles);
+      if (target > now_) {
+        advance_idle(target);
+        if constexpr (kProfiled) prof_->lap(sc_idle_);
+      }
+    }
+    stop = now_ >= max_cycles || aborted_;
+    if (!stop) serial_prologue<kProfiled>();
+  };
+  if (!stop) serial_prologue<kProfiled>();
+  if (n_threads == 1) {
+    while (!stop) {
+      for (unsigned p = 0; p < n_parts_; ++p) parallel_phase<kProfiled>(p);
+      between_cycles();
+    }
+  } else if (!stop) {
+    sim::SpinBarrier barrier(n_threads);
+    // One barrier crossing per live cycle; `stop` is written only by the
+    // crossing's completion, which every thread sees once it leaves.
+    const auto lockstep = [&](unsigned j) {
+      do {
+        for (unsigned p = j; p < n_parts_; p += n_threads) parallel_phase<false>(p);
+        barrier.arrive_and_wait(between_cycles);
+      } while (!stop);
+    };
+    std::vector<std::thread> workers;
+    for (unsigned j = 1; j < n_threads; ++j) workers.emplace_back(lockstep, j);
+    lockstep(0);
     for (auto& w : workers) w.join();
   }
   return (completed || finished()) && !aborted_;

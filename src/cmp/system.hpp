@@ -6,21 +6,28 @@
 //
 // run() skips globally dead cycles instead of ticking an idle machine: after
 // each live cycle every partition reads its next wake straight from the
-// components it ticks (partition_next_wake: runnable cores, the network,
+// components it ticks (partition_next_wake: its running cores, the network,
 // its directories' and loopbacks' due cycles, and the sampler/check
 // cadences). Each *live* cycle executes the classic step in the classic
-// order, skipping only directories and loopbacks that are not due, so
-// results are bit-identical to the plain per-cycle loop (docs/kernel.md).
+// order, touching only components with work — running cores, due routers,
+// directories and loopbacks; a blocked core's tick only counts a blocked
+// cycle, which its partition adds for all of them at once — so results are
+// bit-identical to the plain per-cycle loop (docs/kernel.md).
 //
 // There is one driver, the cycle lockstep of docs/partitioning.md. The tile
 // array is split into K = CmpConfig::threads contiguous row-block partitions
 // (sim/partition.hpp), each with its own StatRegistry shard, run on
 // min(K, host cores) threads; K = 1 is one partition on the calling thread,
-// with no worker threads and no barrier waits. Cross-partition interaction
-// is message-only: NoC flits/credits ride boundary channels swapped once per
-// cycle under the >= 1-cycle link synchronization horizon, barrier arrivals
-// are recorded as events and replayed serially in tile order, and at K > 1
-// the slack beneficiary probe reads a double-buffered stall snapshot.
+// with no worker threads and no barrier. A live cycle is every partition's
+// phase, then one barrier crossing whose completion — run by the last
+// thread to arrive — is the serial step: barrier replay, periodic check,
+// end-of-run and dead-cycle-skip decision, and the next cycle's prologue.
+// Cross-partition interaction is message-only: NoC flits/credits ride
+// parity-buffered boundary channels under the >= 1-cycle link
+// synchronization horizon, drained by their consumer at the start of its
+// next phase; barrier arrivals are recorded as events and replayed serially
+// in tile order; and at K > 1 the slack beneficiary probe reads a
+// double-buffered stall snapshot.
 // Simulation results are deterministic and independent of K — byte-identical
 // to the seed's reports at K = 1, and byte-identical reports and metrics
 // documents at any K: shard merges sum integers exactly, in any order
@@ -38,6 +45,8 @@
 #include <vector>
 
 #include "cmp/config.hpp"
+#include "common/cache_line.hpp"
+#include "common/node_set.hpp"
 #include "common/stats.hpp"
 #include "core/core_model.hpp"
 #include "core/workload.hpp"
@@ -83,12 +92,12 @@ class CmpSystem {
   [[nodiscard]] bool dead_cycle_skipping() const { return dead_cycle_skipping_; }
 
   /// Earliest cycle after now at which partition p has work: now + 1 as soon
-  /// as one of its cores is runnable, else the minimum over the network's
-  /// share, the partition's directory and loopback due cycles and, on
-  /// partition 0, the time-series sampler and periodic-check cadences
-  /// (kNeverCycle: nothing will ever act without outside input). Any source
-  /// at or before now + 1 ends the scan. kProfiled counts the per-source
-  /// polls and hot exits of scan_stats() (same result).
+  /// as one of its running cores is not fence-parked, else the minimum over
+  /// the network's share, the partition's directory and loopback due cycles
+  /// and, on partition 0, the time-series sampler and periodic-check
+  /// cadences (kNeverCycle: nothing will ever act without outside input).
+  /// Any source at or before now + 1 ends the scan. kProfiled counts the
+  /// per-source polls and hot exits of scan_stats() (same result).
   template <bool kProfiled = false>
   [[nodiscard]] Cycle partition_next_wake(unsigned p);
   /// Partitions the tile array is split into.
@@ -96,6 +105,10 @@ class CmpSystem {
   /// Due-array invariant (tests): no directory or loopback is due later than
   /// its next event, so none is skipped while it has work.
   [[nodiscard]] bool due_arrays_cover_work() const;
+  /// Core-set invariant (tests): every runnable core's running bit is set,
+  /// no blocked or done core has one, and each partition's done count is
+  /// exact.
+  [[nodiscard]] bool core_sets_match_cores() const;
 
   /// Measured cycles (excludes the functional-warmup phase, if any).
   [[nodiscard]] Cycle cycles() const { return now_ - measure_start_; }
@@ -263,10 +276,12 @@ class CmpSystem {
     bool done = false;      ///< true: done transition, false: barrier arrival
   };
 
-  /// One partition's private simulation state (docs/partitioning.md).
+  /// One partition's private simulation state (docs/partitioning.md), on
+  /// cache lines of its own: only the owning thread writes it during the
+  /// phase, and the serial step reads it.
   /// Partition 0's shard aliases stats_, so at K = 1 the single partition
   /// owns the single registry.
-  struct Partition {
+  struct alignas(kCacheLine) Partition {
     std::unique_ptr<StatRegistry> owned_shard;  ///< null for partition 0
     StatRegistry* shard = nullptr;              ///< == &stats_ for partition 0
     /// Interned per-shard handles for the driver-level message counters
@@ -285,12 +300,29 @@ class CmpSystem {
     /// Lowered by Directory::deliver and the loopback push, reset from
     /// next_event() / next_ready() after a tick or pop; parallel_phase runs
     /// only due entries.
-    std::vector<Cycle> dir_due;
-    std::vector<Cycle> loop_due;
-    // Epilogue inputs, written by the owning thread at the end of its
-    // parallel phase and read serially between the barriers.
+    CacheLineVector<Cycle> dir_due;
+    CacheLineVector<Cycle> loop_due;
+    /// Bit tile - plan_.first(p) is set while that core is runnable: set at
+    /// every unblock site (fill, I-fill, barrier release, replay re-tick),
+    /// cleared when a tick blocks or finishes the core. Derived state,
+    /// rebuilt by rebuild_core_sets.
+    NodeSet running;
+    /// The partition's finished cores.
+    unsigned done = 0;
+    /// The shard's core.blocked_cycles, which every core of the partition
+    /// bumps: blocked cores are counted here in bulk instead of ticked.
+    CounterRef blocked_cycles;
+    // Published at the end of the phase for the serial step.
     bool finished = false;
     Cycle next_wake{0};
+    /// Earliest arrival of the flits pushed into other partitions this live
+    /// cycle (Network::pushed_earliest).
+    Cycle pushed{kNeverCycle};
+
+    /// Cores neither running nor done: blocked on a fill or at a barrier.
+    [[nodiscard]] unsigned blocked(unsigned count) const {
+      return count - running.count() - done;
+    }
   };
 
   void route_outgoing(NodeId tile, protocol::CoherenceMsg msg);
@@ -320,26 +352,34 @@ class CmpSystem {
   }
   /// Reset every due entry to its component's next event (checkpoint load).
   void rebuild_due_arrays();
+  /// Reset every partition's running set and done count from its cores
+  /// (construction, checkpoint load, after sampling's functional phase).
+  void rebuild_core_sets();
+  /// Set `tile`'s running bit when its core is runnable (the unblock sites).
+  void mark_if_runnable(unsigned tile);
   /// run() body, compiled with or without self-profiler laps (results are
   /// bit-identical in both): T = min(K, host cores) threads — T - 1 workers
-  /// plus this thread as coordinator — each running every T-th partition's
-  /// phase, two spin-barrier waits per live cycle when T > 1, serial
-  /// epilogue in between iterations.
+  /// plus this thread — each running every T-th partition's phase, then
+  /// crossing the spin barrier, whose last arrival runs the serial step
+  /// (epilogue, dead-cycle skip, next prologue). T = 1 runs the serial step
+  /// inline.
   template <bool kProfiled>
   bool run_partitioned(Cycle max_cycles);
   /// Before the cycle's phases: advance the clock, publish it to the
   /// network, take a time-series sample when one is due.
   template <bool kProfiled>
   void serial_prologue();
-  /// Partition p's share of one live cycle: drain boundary events, tick the
-  /// partition's routers/lanes, pop the due loopbacks, tick the due
-  /// directories and the cores (recording barrier events), publish the stall
-  /// snapshot, compute the partition's finished flag and next wake.
+  /// Partition p's share of one live cycle: drain the boundary events its
+  /// neighbours pushed last live cycle, tick the partition's due routers and
+  /// busy lanes, pop the due loopbacks, tick the due directories and the
+  /// running cores (recording barrier events), publish the stall snapshot,
+  /// the partition's finished flag, next wake and pushed-flit horizon.
   template <bool kProfiled>
   void parallel_phase(unsigned p);
-  /// Between the cycle's barriers: barrier-event replay, periodic check,
-  /// boundary exchange. Returns the earliest next live cycle (kNeverCycle
-  /// when nothing is pending) and sets epilogue_finished_.
+  /// After every partition's phase: barrier-event replay (only when some
+  /// partition recorded events), stall-snapshot swap, periodic check.
+  /// Returns the earliest next live cycle (kNeverCycle when nothing is
+  /// pending) and sets epilogue_finished_.
   template <bool kProfiled>
   Cycle serial_epilogue();
   /// Replay the parallel phase's barrier arrivals / done transitions in tile
@@ -350,7 +390,7 @@ class CmpSystem {
   /// Serial-order handling of one barrier arrival during replay.
   void replay_arrival(unsigned core, std::uint32_t id);
   /// Every core of partition p done and its memory system, loopbacks and
-  /// network share quiescent.
+  /// network share quiescent (the done count short-circuits).
   [[nodiscard]] bool partition_finished(unsigned p) const;
   /// Partition p's memory system, NICs, loopbacks and network share hold no
   /// work.
@@ -368,8 +408,9 @@ class CmpSystem {
   void release_barrier();
   void end_warmup();
   /// Jump the clock to `target`, bulk-accounting the blocked-core cycles the
-  /// per-cycle loop would have accrued. Only valid when every cycle in
-  /// (now_, target] is globally dead.
+  /// per-cycle loop would have accrued (a running core in a dead span is
+  /// fence-parked, whose tick counts nothing). Only valid when every cycle
+  /// in (now_, target] is globally dead.
   void advance_idle(Cycle target);
 
   CmpConfig cfg_;
@@ -441,8 +482,8 @@ class CmpSystem {
   unsigned waiting_ = 0;
   std::uint32_t pending_barrier_id_ = 0;
   /// on_barrier applies arrivals directly (inside replay_barrier_events)
-  /// instead of recording them. Written only between the cycle barriers,
-  /// so parallel-phase reads are race-free.
+  /// instead of recording them. Written only in the serial step, so
+  /// phase reads are race-free.
   // tcmplint: snapshot-exempt (epilogue scratch, false between cycles)
   bool replaying_ = false;
   // replay_barrier_events working state (serial epilogue only): scratch that
@@ -456,9 +497,9 @@ class CmpSystem {
   // tcmplint: snapshot-exempt (epilogue scratch, recomputed every cycle)
   bool epilogue_finished_ = false;
   /// Double-buffered per-tile stall snapshots for the K > 1 slack probe:
-  /// the parallel phase writes next (own tiles only), the serial epilogue
-  /// swaps, beneficiary_stalled reads published. Sized only when slack
-  /// telemetry is enabled at K > 1.
+  /// the phase writes next (own tiles only), the serial epilogue swaps,
+  /// beneficiary_stalled reads published. Sized only when slack telemetry
+  /// is enabled at K > 1.
   std::vector<core::StallSnapshot> stall_published_;
   std::vector<core::StallSnapshot> stall_next_;
 

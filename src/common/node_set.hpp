@@ -49,6 +49,30 @@ class NodeSet {
     return c;
   }
 
+  /// f(n) for every member n in ascending order. Each word is read once, so
+  /// f may remove members; one it adds to the current word is first seen on
+  /// the next walk.
+  template <typename F>
+  constexpr void for_each(F&& f) const {
+    for (unsigned w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        f(w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// True when pred(n) holds for some member n: tests members in ascending
+  /// order and stops at the first that passes.
+  template <typename F>
+  constexpr bool any_of(F&& pred) const {
+    for (unsigned w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        if (pred(w * 64 + static_cast<unsigned>(std::countr_zero(bits)))) return true;
+      }
+    }
+    return false;
+  }
+
   /// Copy of this set with bit `n` cleared (the "other sharers" set).
   [[nodiscard]] constexpr NodeSet without(unsigned n) const {
     NodeSet m = *this;

@@ -15,13 +15,6 @@ Core::Core(NodeId id, Workload* workload, protocol::L1Cache* l1, StatRegistry* s
   finished_ = stats_->counter_ref("core.finished");
 }
 
-void Core::account_idle(Cycle n) {
-  TCMP_DCHECK(!runnable() || drained());
-  // tick() is a pure no-op for a done or fence-parked core: no accounting.
-  if (drained()) return;
-  blocked_counter_ += n.value();
-}
-
 void Core::set_icache(protocol::ICache* icache, std::uint64_t code_lines) {
   icache_ = icache;
   code_lines_ = std::max<std::uint64_t>(code_lines, 16);

@@ -136,12 +136,6 @@ class Core final {
   }
   [[nodiscard]] bool quiescent() const { return done_; }
 
-  /// Bulk equivalent of ticking a blocked core `n` times: accrues the same
-  /// blocked-cycle accounting the per-cycle loop would have, so dead-cycle
-  /// skipping stays bit-identical. Callers must only skip cycles on which
-  /// every core is blocked or done.
-  void account_idle(Cycle n);
-
   /// Roll back the accounting of one blocked tick. The partitioned driver's
   /// barrier replay (docs/partitioning.md) provisionally ticks every core in
   /// the parallel phase; when a barrier release within the same cycle would

@@ -72,7 +72,10 @@ void TileNic::receive(CoherenceMsg msg, Cycle now, const DeliverFn& deliver) {
     return;
   }
   decode_and_release(cs, src, msg, deliver);
-  // Drain any consecutive buffered successors.
+  // Drain any consecutive buffered successors. With nothing parked there
+  // are none, and the window need not be read: no delivery re-enters
+  // receive(), so parked_ cannot change under it.
+  if (parked_ == 0) return;
   auto& window = cs.reorder[src];
   while (auto next = window.take(cs.next_recv_seq[src])) {
     --parked_;

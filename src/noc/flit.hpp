@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "protocol/coherence_msg.hpp"
@@ -68,9 +69,10 @@ struct PacketRecord {
 /// the head flit, freed at tail ejection, and moved to the consuming
 /// partition's slab when the tail crosses a boundary channel
 /// (noc/boundary.hpp). Single-owner: only the owning partition's thread
-/// touches a slab. Freed handles are reused last-in first-out, so handle
-/// assignment is deterministic.
-class PacketSlab {
+/// touches a slab, and each slab sits on cache lines of its own (the network
+/// keeps one per partition side by side). Freed handles are reused last-in
+/// first-out, so handle assignment is deterministic.
+class alignas(kCacheLine) PacketSlab {
  public:
   [[nodiscard]] std::uint32_t alloc(const PacketRecord& rec) {
     if (free_.empty()) {

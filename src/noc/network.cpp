@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "common/check.hpp"
 #include "obs/observer.hpp"
@@ -15,16 +16,16 @@ constexpr std::size_t kLatBins = 128;
 constexpr std::uint64_t kLatBinWidth = 4;
 constexpr const char* kVnetName[protocol::kNumVnets] = {"req", "fwd", "resp"};
 
-// Work-set bitmasks (ChannelPlane::active / busy_lanes).
+// Work-set bitmasks (Network::Work::active / busy_lanes).
 constexpr std::uint64_t bit_of(unsigned i) { return std::uint64_t{1} << (i % 64); }
-void set_bit(std::vector<std::uint64_t>& words, unsigned i) { words[i / 64] |= bit_of(i); }
-bool any_bit(const std::vector<std::uint64_t>& words) {
+void set_bit(std::span<std::uint64_t> words, unsigned i) { words[i / 64] |= bit_of(i); }
+bool any_bit(std::span<const std::uint64_t> words) {
   return std::ranges::any_of(words, [](std::uint64_t w) { return w != 0; });
 }
 /// f(i) for every set bit i in ascending order. Each word is read once, so a
 /// bit set in the current word during the walk is first seen next walk.
 template <typename F>
-void for_each_bit(const std::vector<std::uint64_t>& words, F&& f) {
+void for_each_bit(std::span<const std::uint64_t> words, F&& f) {
   for (std::size_t w = 0; w < words.size(); ++w) {
     for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
       f(static_cast<unsigned>(w * 64 + std::countr_zero(bits)));
@@ -53,6 +54,7 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
   for (unsigned n = 0; n < cfg_.nodes(); ++n) part_of_[n] = plan_.part_of(n);
   boundary_index_.assign(static_cast<std::size_t>(k) * k, ~0u);
   inbound_.resize(k);
+  outbound_.resize(k);
   slabs_.resize(k);
 
   planes_.resize(cfg_.channels.size());
@@ -72,15 +74,16 @@ Network::Network(const NocConfig& cfg, const sim::PartitionPlan& plan,
     for (unsigned p = 0; p < k; ++p) plane.router_first[p] = plan_.first(p);
     plane.router_first[k] = static_cast<unsigned>(plane.routers.size());
     plane.lanes.assign(cfg_.nodes(), std::vector<Lane>(protocol::kNumVnets));
-    plane.active.resize(k);
-    plane.busy_lanes.resize(k);
+    plane.work.resize(k);
     for (unsigned p = 0; p < k; ++p) {
+      Work& w = plane.work[p];
       const unsigned first = plane.router_first[p];
       const unsigned routers = plane.router_first[p + 1] - first;
-      plane.active[p].assign((routers + 63) / 64, 0);
-      plane.busy_lanes[p].assign((plan_.count(p) * protocol::kNumVnets + 63) / 64, 0);
+      w.active.assign((routers + 63) / 64, 0);
+      w.busy_lanes.assign((plan_.count(p) * protocol::kNumVnets + 63) / 64, 0);
+      w.due.assign(routers, kNeverCycle);
       for (unsigned i = 0; i < routers; ++i) {
-        plane.routers[first + i]->set_work_bit(&plane.active[p][i / 64], bit_of(i));
+        plane.routers[first + i]->bind_work(&w.active[i / 64], bit_of(i), &w.due[i]);
       }
     }
     const std::string prefix = "noc." + cfg_.channels[c].name;
@@ -119,6 +122,7 @@ BoundaryChannel* Network::channel_between(unsigned from, unsigned to) {
   if (idx == ~0u) {
     idx = static_cast<unsigned>(boundaries_.size());
     boundaries_.push_back(std::make_unique<BoundaryChannel>(&slabs_[from], &slabs_[to]));
+    outbound_[from].push_back(boundaries_.back().get());
     inbound_[to].push_back(boundaries_.back().get());
   }
   return boundaries_[idx].get();
@@ -265,7 +269,7 @@ void Network::inject(const protocol::CoherenceMsg& msg, unsigned channel,
         obs_->msg_injected(msg, cfg_.channels[channel].name, wire_bytes, now);
   }
   const unsigned part = part_of_[msg.src];
-  set_bit(plane.busy_lanes[part], lane_index(part, msg.src, vnet));
+  set_bit(plane.work[part].busy_lanes, lane_index(part, msg.src, vnet));
   PlaneStats& ps = plane.pstats[part];
   ++ps.packets;
   ps.payload_bytes += wire_bytes;
@@ -340,11 +344,16 @@ void Network::on_eject(unsigned ch, NodeId node, const Flit& flit, Cycle now) {
 void Network::tick_partition(unsigned p, Cycle now) {
   for (ChannelPlane& plane : planes_) {
     const auto routers = plane.routers_of(p);
-    for_each_bit(plane.active[p], [&](unsigned i) { routers[i]->tick(now); });
+    const Work& w = plane.work[p];
+    // An active router that is not due has only flits still on its input
+    // links: its tick would be a no-op (Router::tick), so skip it untouched.
+    for_each_bit(w.active, [&](unsigned i) {
+      if (w.due[i] <= now) routers[i]->tick(now);
+    });
   }
   const unsigned lo = plan_.first(p);
   for (unsigned c = 0; c < planes_.size(); ++c) {
-    std::vector<std::uint64_t>& busy = planes_[c].busy_lanes[p];
+    Words& busy = planes_[c].work[p].busy_lanes;
     for_each_bit(busy, [&](unsigned i) {
       // Inverse of lane_index.
       const unsigned n = lo + i / protocol::kNumVnets;
@@ -357,13 +366,12 @@ void Network::tick_partition(unsigned p, Cycle now) {
 }
 
 Cycle Network::next_event_partition(unsigned p) const {
+  // Router::next_event, read from the due array: max(wake_, now + 1).
   Cycle nxt = kNeverCycle;
   for (const ChannelPlane& plane : planes_) {
-    if (any_bit(plane.busy_lanes[p])) return now_ + 1;
-    const auto routers = plane.routers_of(p);
-    for_each_bit(plane.active[p], [&](unsigned i) {
-      nxt = std::min(nxt, routers[i]->next_event(now_));
-    });
+    const Work& w = plane.work[p];
+    if (any_bit(w.busy_lanes)) return now_ + 1;
+    for_each_bit(w.active, [&](unsigned i) { nxt = std::min(nxt, w.due[i]); });
     if (nxt <= now_ + 1) return now_ + 1;
   }
   return nxt;
@@ -371,18 +379,18 @@ Cycle Network::next_event_partition(unsigned p) const {
 
 bool Network::quiescent_partition(unsigned p) const {
   for (const ChannelPlane& plane : planes_) {
-    if (any_bit(plane.busy_lanes[p])) return false;
+    const Work& w = plane.work[p];
+    if (any_bit(w.busy_lanes)) return false;
     const auto routers = plane.routers_of(p);
     bool quiet = true;
-    for_each_bit(plane.active[p], [&](unsigned i) { quiet &= routers[i]->quiescent(); });
+    for_each_bit(w.active, [&](unsigned i) { quiet &= routers[i]->quiescent(); });
     if (!quiet) return false;
   }
   return true;
 }
 
-void Network::collect_work(const ChannelPlane& plane, unsigned p,
-                           std::vector<std::uint64_t>& active,
-                           std::vector<std::uint64_t>& busy_lanes) const {
+void Network::collect_work(const ChannelPlane& plane, unsigned p, Words& active,
+                           Words& busy_lanes) const {
   std::ranges::fill(active, 0);
   std::ranges::fill(busy_lanes, 0);
   const auto routers = plane.routers_of(p);
@@ -400,14 +408,13 @@ void Network::collect_work(const ChannelPlane& plane, unsigned p,
 void Network::rebuild_work_sets() {
   for (ChannelPlane& plane : planes_) {
     for (unsigned p = 0; p < num_partitions(); ++p) {
-      collect_work(plane, p, plane.active[p], plane.busy_lanes[p]);
+      collect_work(plane, p, plane.work[p].active, plane.work[p].busy_lanes);
     }
   }
 }
 
 bool Network::work_sets_cover_work() const {
-  const auto covers = [](const std::vector<std::uint64_t>& set,
-                         const std::vector<std::uint64_t>& need) {
+  const auto covers = [](const Words& set, const Words& need) {
     for (std::size_t w = 0; w < set.size(); ++w) {
       if ((need[w] & ~set[w]) != 0) return false;
     }
@@ -415,11 +422,10 @@ bool Network::work_sets_cover_work() const {
   };
   for (const ChannelPlane& plane : planes_) {
     for (unsigned p = 0; p < num_partitions(); ++p) {
-      std::vector<std::uint64_t> active = plane.active[p], busy = plane.busy_lanes[p];
+      const Work& w = plane.work[p];
+      Words active = w.active, busy = w.busy_lanes;
       collect_work(plane, p, active, busy);
-      if (!covers(plane.active[p], active) || !covers(plane.busy_lanes[p], busy)) {
-        return false;
-      }
+      if (!covers(w.active, active) || !covers(w.busy_lanes, busy)) return false;
     }
     for (const auto& r : plane.routers) {
       if (!r->wake_covers_fronts()) return false;

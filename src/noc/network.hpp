@@ -5,15 +5,16 @@
 // Each partition keeps one PacketSlab (noc/flit.hpp) for the messages of the
 // packets its routers and lanes hold.
 //
-// Thread compatibility: every router, injection lane, packet slab, work-set
-// mask and stat handle belongs to one partition of the plan
+// Thread compatibility: every router, injection lane, packet slab, work set
+// and stat handle belongs to one partition of the plan
 // (docs/partitioning.md) — a single one unless the mesh is split. The
 // partition phases (drain_boundary / tick_partition /
-// next_event_partition / quiescent_partition) touch only that partition's
-// state, and the two direct writes a cross-partition link would make are
-// rerouted onto BoundaryChannels, swapped by the serial epilogue
-// (exchange_boundaries). The cut happens at link boundaries inside this
-// layer, below the NIC seam the tile-escape lint polices
+// next_event_partition / quiescent_partition / pushed_earliest) touch only
+// that partition's state and its sides of the boundary channels: the two
+// direct writes a cross-partition link would make are rerouted onto
+// parity-buffered BoundaryChannels that the consuming partition drains at
+// the start of its next phase. The cut happens at link boundaries inside
+// this layer, below the NIC seam the tile-escape lint polices
 // (docs/static-analysis.md). tick / next_event / quiescent are the same
 // phases for drivers of a single-partition network.
 #pragma once
@@ -25,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -91,29 +93,46 @@ class Network final {
   }
 
   // --- Partition phases (see docs/partitioning.md) ------------------------
-  /// Serial prologue: publish the cycle clock (the eject callbacks read it).
+  /// Serial, before the cycle's phases: publish the cycle clock (the eject
+  /// callbacks read it).
   void begin_cycle(Cycle now) { now_ = now; }
-  /// Parallel, start of partition p's phase: apply the boundary events the
-  /// last serial epilogue published for p.
+  /// Parallel, start of partition p's phase, once per live cycle: switch
+  /// p's sides of its boundary channels to this cycle's buffers and apply
+  /// the credits and flits its neighbours pushed in the previous live cycle.
   void drain_boundary(unsigned p) {
+    for (BoundaryChannel* ch : outbound_[p]) ch->begin_produce();
     for (BoundaryChannel* ch : inbound_[p]) ch->drain();
   }
-  /// Parallel: tick partition p's active routers, then pump its busy
-  /// injection lanes, each in ascending index order per plane.
+  /// Parallel: tick partition p's active routers that are due, then pump
+  /// its busy injection lanes, each in ascending index order per plane.
   void tick_partition(unsigned p, Cycle now);
-  /// Serial epilogue (between the cycle's barriers): publish every pending
-  /// boundary event; returns the earliest published deadline (kNeverCycle
-  /// when nothing crossed) — a wake bound no partition's next wake knows
-  /// about.
-  Cycle exchange_boundaries() {
+  /// Parallel, end of partition p's phase: the earliest arrival of the
+  /// flits p pushed into other partitions this live cycle (kNeverCycle when
+  /// none) — a wake bound the consumers' own next wakes do not know about.
+  [[nodiscard]] Cycle pushed_earliest(unsigned p) const {
     Cycle nxt = kNeverCycle;
-    for (auto& ch : boundaries_) nxt = std::min(nxt, ch->exchange());
+    for (const BoundaryChannel* ch : outbound_[p]) nxt = std::min(nxt, ch->pushed_earliest());
     return nxt;
   }
+  /// Between cycles (checkpoint save): apply every event pushed in the last
+  /// live cycle — the writes the next live cycle's drains would make —
+  /// leaving every boundary channel empty.
+  void apply_boundaries() {
+    for (auto& ch : boundaries_) ch->apply_pending();
+  }
+  /// No flit waits in a boundary channel. Credit returns do not count: like
+  /// in-flight credits inside a partition, they never hold up the end of a
+  /// run (docs/partitioning.md).
   [[nodiscard]] bool boundaries_empty() const {
     for (const auto& ch : boundaries_)
-      if (!ch->empty()) return false;
+      if (!ch->no_flits()) return false;
     return true;
+  }
+  /// Credit returns waiting in boundary channels (tests).
+  [[nodiscard]] std::size_t boundary_credits() const {
+    std::size_t n = 0;
+    for (const auto& ch : boundaries_) n += ch->credits();
+    return n;
   }
   [[nodiscard]] Cycle next_event_partition(unsigned p) const;
   [[nodiscard]] bool quiescent_partition(unsigned p) const;
@@ -123,8 +142,8 @@ class Network final {
   [[nodiscard]] bool quiescent() const;
   /// Work-set invariant (tests): every router outside its partition's
   /// active set is empty, every injection lane outside the busy set is
-  /// empty, and no router's wake is later than one of its front flits'
-  /// arrival.
+  /// empty, no router's wake is later than one of its front flits' arrival,
+  /// and no router's due-array slot is later than its wake.
   [[nodiscard]] bool work_sets_cover_work() const;
   /// Packet records allocated across every partition's slab: the packets
   /// being pumped, buffered or on a link (0 once the network drains).
@@ -162,12 +181,11 @@ class Network final {
   /// Checkpoint serialization (common/snapshot.hpp): every partition's
   /// packet slab, every router and injection lane across every plane, plus
   /// the cycle clock. Boundary channels must be empty — a checkpoint happens
-  /// between cycles, after exchange_boundaries() and the following drain
-  /// have run. The work sets are derived from that state and rebuilt on
-  /// load.
+  /// between cycles, after apply_boundaries(). The work sets are derived
+  /// from that state and rebuilt on load.
   template <typename Ar>
   void snapshot_io(Ar& ar) {
-    TCMP_CHECK_MSG(boundaries_empty(),
+    TCMP_CHECK_MSG(boundaries_empty() && boundary_credits() == 0,
                    "network snapshot with boundary events in flight");
     ar.section("noc");
     for (PacketSlab& slab : slabs_) ar.field(slab);  // in place: channels point at them
@@ -214,6 +232,19 @@ class Network final {
     }
   };
 
+  using Words = CacheLineVector<std::uint64_t>;
+  /// One partition's work sets on one plane (docs/performance.md "Router
+  /// tick"), written only by that partition's thread and each on cache
+  /// lines of its own. Bit i of `active` is set while router
+  /// router_first[p] + i is not idle, and due[i] is that router's wake_
+  /// (Router::bind_work); bit lane_index(p, n, v) of `busy_lanes` is set
+  /// while lane [n][v] holds a packet.
+  struct Work {
+    Words active;
+    Words busy_lanes;
+    CacheLineVector<Cycle> due;
+  };
+
   /// Where a tile attaches to a plane: which router, which port.
   struct Attach {
     Router* router = nullptr;
@@ -238,13 +269,7 @@ class Network final {
     std::vector<PlaneStats> pstats;        ///< [partition]
     /// Partition p owns routers [router_first[p], router_first[p + 1]).
     std::vector<unsigned> router_first;
-    /// Work sets, one bitmask per partition (docs/performance.md "Router
-    /// tick"). Bit i of active[p] is set while router router_first[p] + i
-    /// is not idle; bit lane_index(p, n, v) of busy_lanes[p] while lane
-    /// [n][v] holds a packet. Only partition p's thread writes them, except
-    /// the serial epilogue's boundary credits.
-    std::vector<std::vector<std::uint64_t>> active;      ///< [partition][word]
-    std::vector<std::vector<std::uint64_t>> busy_lanes;  ///< [partition][word]
+    std::vector<Work> work;                ///< [partition]
 
     [[nodiscard]] std::span<const std::unique_ptr<Router>> routers_of(
         unsigned p) const {
@@ -263,9 +288,8 @@ class Network final {
   }
   /// The work sets partition p's routers and lanes call for on `plane`:
   /// exactly the non-empty routers and lanes.
-  void collect_work(const ChannelPlane& plane, unsigned p,
-                    std::vector<std::uint64_t>& active,
-                    std::vector<std::uint64_t>& busy_lanes) const;
+  void collect_work(const ChannelPlane& plane, unsigned p, Words& active,
+                    Words& busy_lanes) const;
   /// Reset every work set to collect_work (checkpoint load).
   void rebuild_work_sets();
   void on_eject(unsigned ch, NodeId node, const Flit& flit, Cycle now);
@@ -301,9 +325,9 @@ class Network final {
   };
   // tcmplint: snapshot-exempt (interned stat handles, re-interned at ctor)
   std::vector<std::array<VnetLatency, protocol::kNumVnets>> vnet_lat_;  ///< [partition]
-  // save_checkpoint drains and CHECKs the boundary channels empty, so there
-  // is no in-flight state to serialize.
-  // tcmplint: snapshot-exempt (drained and CHECKed empty at every save)
+  // save_checkpoint applies and CHECKs the boundary channels empty, so
+  // there is no in-flight state to serialize.
+  // tcmplint: snapshot-exempt (applied and CHECKed empty at every save)
   std::vector<std::unique_ptr<BoundaryChannel>> boundaries_;
   /// boundaries_ entry index for the (from, to) directed pair, dense K x K;
   /// ~0u where absent. Indexed from * K + to.
@@ -311,6 +335,8 @@ class Network final {
   std::vector<unsigned> boundary_index_;
   // tcmplint: snapshot-exempt (derived from plan_ at construction)
   std::vector<std::vector<BoundaryChannel*>> inbound_;  ///< [partition] consumers
+  // tcmplint: snapshot-exempt (derived from plan_ at construction)
+  std::vector<std::vector<BoundaryChannel*>> outbound_;  ///< [partition] producers
   Cycle now_{0};
 };
 

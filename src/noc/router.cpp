@@ -57,7 +57,9 @@ Cycle Router::earliest_front() const {
   return wake;
 }
 
-bool Router::wake_covers_fronts() const { return wake_ <= earliest_front(); }
+bool Router::wake_covers_fronts() const {
+  return wake_ <= earliest_front() && (due_ == nullptr || *due_ <= wake_);
+}
 
 Router::Census Router::census(Cycle now) const {
   Census c;
@@ -188,6 +190,7 @@ void Router::allocate_and_switch(Cycle now) {
     }
   }
   wake_ = earliest_front();
+  *due_ = wake_;
 }
 
 }  // namespace tcmp::noc

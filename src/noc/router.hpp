@@ -18,9 +18,11 @@
 // collects each output port's switch requests as a bitmask over the
 // (port, vc) slots, then one round-robin winner per output port, found with
 // std::countr_zero from the port's pointer. The network ticks only the
-// routers in its partition's active set (noc/network.hpp): every write that
-// gives a router a flit sets its bit, and a tick that leaves it empty clears
-// it.
+// routers in its partition's active set (noc/network.hpp) whose wake_ has
+// come: every write that gives a router a flit sets its bit, a tick that
+// leaves it empty clears it, and every write of wake_ copies it into the
+// router's slot of a dense per-partition due array, so a router whose front
+// flits are all still on links is skipped without being touched.
 //
 // Routing is table-driven: the topology builder (2D mesh with XY routes, or
 // the two-level tree) fills a per-router destination->output-port table, so
@@ -116,12 +118,15 @@ class Router {
     upstream_[in_port].cross = ch;
   }
 
-  /// Bind this router to its bit in the owning partition's active set
-  /// (Network work sets): the flit writes below set the bit, and tick()
-  /// clears it when it leaves the router empty.
-  void set_work_bit(std::uint64_t* word, std::uint64_t bit) {
+  /// Bind this router to its bit in the owning partition's active set and
+  /// its slot in the plane's due array (Network work sets): the flit writes
+  /// below set the bit, tick() clears it when it leaves the router empty,
+  /// and every write of wake_ copies it into the slot.
+  void bind_work(std::uint64_t* word, std::uint64_t bit, Cycle* due) {
     work_word_ = word;
     work_bit_ = bit;
+    due_ = due;
+    *due_ = wake_;
   }
 
   /// The two writes a link makes into this router. A flit lands in input
@@ -187,7 +192,8 @@ class Router {
   /// keeps every cycle live. See docs/kernel.md for the full argument.
   [[nodiscard]] Cycle next_event(Cycle now) const { return std::max(wake_, now + 1); }
 
-  /// Wake invariant (tests): wake_ is no later than any front flit's arrival.
+  /// Wake invariant (tests): wake_ is no later than any front flit's
+  /// arrival, and the due-array slot no later than wake_.
   [[nodiscard]] bool wake_covers_fronts() const;
 
   /// The flits in this router's input rings at the end of cycle `now`: those
@@ -219,6 +225,7 @@ class Router {
         if (input_[s].size != 0) occupied_ |= std::uint64_t{1} << s;
       }
       wake_ = earliest_front();
+      if (due_ != nullptr) *due_ = wake_;
     }
   }
 
@@ -303,6 +310,7 @@ class Router {
     ++in.size;
     occupied_ |= std::uint64_t{1} << s;
     wake_ = std::min(wake_, at);
+    *due_ = wake_;
     *work_word_ |= work_bit_;
   }
   void send_credit(unsigned in_port, unsigned vnet, Cycle now);
@@ -334,10 +342,12 @@ class Router {
   /// Earliest front-flit arrival (kNeverCycle when empty): lowered by every
   /// flit write, recomputed after each switch.
   Cycle wake_ = kNeverCycle;
-  /// This router's bit in its partition's active set (set_work_bit).
+  /// This router's bit in its partition's active set and its due-array
+  /// slot, a copy of wake_ (bind_work).
   std::uint64_t* work_word_ = nullptr;
   // tcmplint: snapshot-exempt (wiring: bound by the network at construction)
   std::uint64_t work_bit_ = 0;
+  Cycle* due_ = nullptr;
 
   std::array<InputVc, kSlots> input_{};               ///< [port * kVcsPerPort + vnet]
   std::array<Slot, kSlots * kVcDepth> slots_{};        ///< [input VC * kVcDepth + i]

@@ -7,8 +7,8 @@
 // gives the synchronization horizon its floor: the minimum cross-partition
 // link latency is the minimum vertical-link latency, >= 1 cycle, so a flit
 // or credit produced in cycle t can only be consumed in cycle t+1 or later —
-// one barrier per simulated cycle is enough for determinism (the argument is
-// spelled out in docs/partitioning.md).
+// one barrier crossing per simulated cycle is enough for determinism (the
+// argument is spelled out in docs/partitioning.md).
 #pragma once
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "common/check.hpp"
 
 namespace tcmp::sim {
@@ -66,7 +67,11 @@ class PartitionPlan {
 
 /// Sense-reversing spin barrier for the cycle-lockstep driver: one
 /// participant per driver thread (min(K, host cores): the workers plus the
-/// coordinator), two waits per live simulated cycle.
+/// coordinator), one crossing per live simulated cycle. The last thread to
+/// arrive runs the crossing's completion before it releases the others
+/// (std::barrier's contract): everything each participant wrote before
+/// arriving is visible to the completion, and everything the completion
+/// writes is visible to every participant once it leaves.
 /// Spinning (not std::condition_variable) is deliberate — partitions leave
 /// the barrier within tens of nanoseconds of each other on a saturated mesh,
 /// and a futex round trip per cycle would dominate the cycle itself. After a
@@ -77,10 +82,14 @@ class SpinBarrier {
  public:
   explicit SpinBarrier(unsigned participants) : total_(participants) {}
 
-  void arrive_and_wait() {
+  template <typename Completion>
+  void arrive_and_wait(Completion&& completion) {
     const bool my_sense = !sense_.load(std::memory_order_relaxed);
+    // acq_rel: the read-modify-writes on arrived_ chain every earlier
+    // arrival's writes to the last arriver, which runs the completion.
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == total_) {
       arrived_.store(0, std::memory_order_relaxed);
+      completion();
       sense_.store(my_sense, std::memory_order_release);  // releases the rest
     } else {
       unsigned spins = 0;
@@ -97,8 +106,9 @@ class SpinBarrier {
   static constexpr unsigned kSpinsBeforeYield = 1u << 12;
 
   const unsigned total_;
-  std::atomic<unsigned> arrived_{0};
-  std::atomic<bool> sense_{false};
+  // One line each: arrivals write arrived_ while the spinners poll sense_.
+  alignas(kCacheLine) std::atomic<unsigned> arrived_{0};
+  alignas(kCacheLine) std::atomic<bool> sense_{false};
 };
 
 }  // namespace tcmp::sim

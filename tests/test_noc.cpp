@@ -465,7 +465,6 @@ void check_work_sets(const WorkSetCase& c) {
       net.drain_boundary(p);
       net.tick_partition(p, now);
     }
-    net.exchange_boundaries();
     ASSERT_TRUE(net.work_sets_cover_work()) << "cycle " << now.value();
   }
   EXPECT_EQ(delivered, sent);

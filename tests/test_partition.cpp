@@ -8,12 +8,14 @@
 // ctest (tools/golden_test.sh passes --threads 1 explicitly).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "cmp/report.hpp"
 #include "cmp/system.hpp"
 #include "common/stats.hpp"
+#include "core/workload.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
 #include "sim/partition.hpp"
@@ -119,6 +122,7 @@ TEST(PartitionHorizon, OneCycleLinkCrossesExactlyAtHorizon) {
   serial.inject(msg, 0, Bytes{8}, serial_now);
   parted.inject(msg, 0, Bytes{8}, parted_now);
 
+  unsigned crossings = 0;
   for (unsigned c = 0; c < 64 && parted_deliveries.empty(); ++c) {
     ++serial_now;
     serial.tick(serial_now);
@@ -128,19 +132,23 @@ TEST(PartitionHorizon, OneCycleLinkCrossesExactlyAtHorizon) {
     for (unsigned p = 0; p < 2; ++p) {
       parted.drain_boundary(p);
       parted.tick_partition(p, parted_now);
-    }
-    const Cycle published = parted.exchange_boundaries();
-    // The horizon rule itself: nothing published at the end of cycle t may
-    // carry a deadline at or before t, even on a 1-cycle link.
-    if (published != kNeverCycle) {
-      EXPECT_GT(published, parted_now);
+      // The horizon rule itself: no flit a partition pushes across the
+      // boundary in cycle t may arrive at or before t, even on a 1-cycle
+      // link.
+      const Cycle published = parted.pushed_earliest(p);
+      if (published != kNeverCycle) {
+        EXPECT_GT(published, parted_now);
+        ++crossings;
+      }
     }
   }
+  EXPECT_GT(crossings, 0u);
 
   ASSERT_EQ(parted_deliveries.size(), 1u);
   ASSERT_EQ(serial_deliveries.size(), 1u);
   // Same destination, same simulated cycle: the boundary channel added
-  // zero model latency, it only deferred the hand-off to the epilogue.
+  // zero model latency, it only deferred the hand-off to the consumer's
+  // next phase.
   EXPECT_EQ(parted_deliveries[0], serial_deliveries[0]);
   // The flit crossed strictly after its injection cycle (>= t + 1).
   EXPECT_GT(parted_deliveries[0].second, Cycle{1});
@@ -292,6 +300,112 @@ TEST(PartitionIdentity, FrozenSerialDigests) {
           << r.topology << " skip=" << r.skip << " K=" << k;
     }
   }
+}
+
+// ---- Boundary credits at the end of a run and across a checkpoint ---------
+
+/// Core 4 loads one line homed at tile 8, the tile right below it across
+/// the K = 2 boundary of the 4x4 mesh, and finishes; every other core is
+/// done from the start. With reply partitioning the core resumes on the
+/// partial reply and finishes while the full line is still on its way, so
+/// the full reply's ejection at tile 4 is the run's last live cycle, and the
+/// credit that hop returns to tile 8's router crosses the boundary then.
+class CrossingLoadWorkload final : public core::Workload {
+ public:
+  core::Op next(unsigned core) override {
+    if (core != 4 || issued_) return core::Op::done();
+    issued_ = true;
+    return core::Op::load(LineAddr{8});
+  }
+  [[nodiscard]] std::string name() const override { return "crossing-load"; }
+
+ private:
+  bool issued_ = false;
+};
+
+TEST(PartitionBoundary, CreditInTheLastLiveCycleDoesNotDelayTheEnd) {
+  auto cfg = cmp::CmpConfig::baseline();
+  cfg.reply_partitioning = true;
+  const auto run = [&cfg](unsigned threads) {
+    cfg.threads = threads;
+    auto system = std::make_unique<cmp::CmpSystem>(
+        cfg, std::make_shared<CrossingLoadWorkload>());
+    EXPECT_TRUE(system->run(Cycle{1'000'000}));
+    return system;
+  };
+  const auto one = run(1);
+  const auto two = run(2);
+  ASSERT_EQ(two->num_partitions(), 2u);
+  // The last live cycle's credit is still in its channel: no later cycle
+  // drained it, and it did not keep the run going.
+  EXPECT_GT(two->network().boundary_credits(), 0u);
+  EXPECT_TRUE(two->network().boundaries_empty());
+  EXPECT_EQ(two->total_cycles(), one->total_cycles());
+  EXPECT_EQ(two->merged_stats().counters(), one->merged_stats().counters());
+}
+
+/// The metrics document of a finished run.
+std::string metrics_of(const cmp::CmpSystem& system) {
+  std::ostringstream json;
+  cmp::write_metrics_json(json, cmp::make_result(system), system);
+  return json.str();
+}
+
+TEST(PartitionBoundary, CheckpointWithACreditInAChannelRestoresIdentically) {
+  auto cfg = cmp::CmpConfig::cheng3way();
+  cfg.threads = 2;
+  const auto make = [&cfg] {
+    return std::make_unique<cmp::CmpSystem>(
+        cfg, std::make_shared<workloads::SyntheticApp>(
+                 workloads::app("FFT").scaled(0.02), cfg.n_tiles));
+  };
+  auto full = make();
+  ASSERT_TRUE(full->run(Cycle{50'000'000}));
+
+  auto saver = make();
+  ASSERT_FALSE(saver->run(Cycle{5'000}));
+  while (saver->network().boundary_credits() == 0) {
+    ASSERT_LT(saver->total_cycles(), Cycle{20'000}) << "no credit ever crossed";
+    saver->step();
+  }
+  std::stringstream checkpoint;
+  saver->save_checkpoint(checkpoint);
+  EXPECT_EQ(saver->network().boundary_credits(), 0u);
+
+  auto restored = make();
+  restored->load_checkpoint(checkpoint);
+  ASSERT_TRUE(restored->run(Cycle{50'000'000}));
+  ASSERT_TRUE(saver->run(Cycle{50'000'000}));
+  EXPECT_EQ(restored->total_cycles(), full->total_cycles());
+  EXPECT_EQ(saver->total_cycles(), full->total_cycles());
+  const std::string expected = metrics_of(*full);
+  EXPECT_EQ(metrics_of(*restored), expected);
+  EXPECT_EQ(metrics_of(*saver), expected);
+}
+
+// ---- The barrier's completion ----------------------------------------------
+
+TEST(SpinBarrier, CompletionRunsOncePerCrossingBeforeAnyoneLeaves) {
+  // Each crossing's completion is run exactly once, by one participant, and
+  // every participant leaving the crossing reads what it wrote (TSan checks
+  // the happens-before edges in the sanitizer build).
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kCrossings = 100'000;
+  sim::SpinBarrier barrier(kThreads);
+  std::uint64_t completions = 0;  // written only inside completions
+  std::atomic<std::uint64_t> mismatches{0};
+  const auto participant = [&] {
+    for (std::uint64_t n = 1; n <= kCrossings; ++n) {
+      barrier.arrive_and_wait([&] { ++completions; });
+      if (completions != n) mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned j = 1; j < kThreads; ++j) threads.emplace_back(participant);
+  participant();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(completions, kCrossings);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

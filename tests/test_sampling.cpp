@@ -171,6 +171,24 @@ TEST(SampledRun, MakesAPaperResult) {
   EXPECT_GT(r.total_energy().value(), 0.0);
 }
 
+TEST(SampledRun, HandoffsLeaveTheDriverSetsExact) {
+  // The functional phase changes cores outside the cycle loop (done,
+  // barrier arrivals and releases); the driver's running-core set, done
+  // counts and network work sets must match the machine at every handoff.
+  const auto cfg = cmp::CmpConfig::cheng3way();
+  cmp::CmpSystem sys(cfg, fft_small(cfg.n_tiles));
+  cmp::SampledRun run(sys, test_sampling());
+  unsigned handoffs = 0;
+  run.set_handoff_probe([&] {
+    ++handoffs;
+    EXPECT_TRUE(sys.core_sets_match_cores()) << "handoff " << handoffs;
+    EXPECT_TRUE(sys.network().work_sets_cover_work()) << "handoff " << handoffs;
+  });
+  ASSERT_TRUE(run.run());
+  EXPECT_GT(run.result().windows, 1u);
+  EXPECT_GE(handoffs, 2 * run.result().windows);
+}
+
 TEST(SampledRunDeathTest, RequiresSingleThreadedSystem) {
   auto cfg = cmp::CmpConfig::cheng3way();
   cfg.threads = 4;

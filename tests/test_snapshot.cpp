@@ -302,8 +302,10 @@ TEST(CheckpointRestore, FinalReportIdenticalFourThreads) {
 // and on links, right after restoring it into a fresh system, and every
 // cycle of the restored run to its end — no router, lane, directory or
 // loopback with pending work may be left out of its partition's work set or
-// be due later than its next event. A missed wake site leaves work that is
-// never run. Once the machine drains, every packet slab is empty.
+// be due later than its next event, and every partition's running-core set
+// and done count must match its cores. A missed wake site leaves work that
+// is never run (or a core that never ticks again). Once the machine drains,
+// every packet slab is empty.
 void check_cmp_wake_sets(unsigned threads) {
   SCOPED_TRACE(threads);
   auto cfg = cmp::CmpConfig::heterogeneous(compression::SchemeConfig::dbrc(4, 2));
@@ -315,7 +317,8 @@ void check_cmp_wake_sets(unsigned threads) {
         cfg, std::make_shared<workloads::SyntheticApp>(params, cfg.n_tiles));
   };
   const auto covered = [](const cmp::CmpSystem& s) {
-    return s.network().work_sets_cover_work() && s.due_arrays_cover_work();
+    return s.network().work_sets_cover_work() && s.due_arrays_cover_work() &&
+           s.core_sets_match_cores();
   };
 
   auto saver = make();
@@ -344,6 +347,7 @@ void check_cmp_wake_sets(unsigned threads) {
 TEST(WakeSets, EveryCmpWakeSiteIsCoveredAcrossRestore) {
   check_cmp_wake_sets(1);
   check_cmp_wake_sets(2);
+  check_cmp_wake_sets(4);
 }
 
 TEST(CheckpointRestore, SaveIsByteDeterministic) {
