@@ -26,12 +26,13 @@ constexpr Cycle kWarmupMemoryLatency{40};
 
 /// Keep freed heap memory in the process for the next system. Sweeps build
 /// systems back to back, one alive at a time, and a system's directory
-/// arrays alone take 288 KiB per tile (4096 lines of 72 B). glibc's default
-/// policy hands the top of the heap back to the kernel once it passes a
-/// threshold it derives from past allocations, so each new system would
-/// fault all of that memory in again. Fixed thresholds (the cap of glibc's
-/// own dynamic mmap threshold, and 128 MiB of free heap top) keep it for
-/// reuse. Process-wide; set once.
+/// arrays reserve 288 KiB per tile (4096 lines of 72 B), of which a run
+/// faults in the sets it touches (a tenth to two thirds of them on the
+/// benchmark's workloads). glibc's default policy hands the top of the heap
+/// back to the kernel once it passes a threshold it derives from past
+/// allocations, so each new system would fault that memory in again. Fixed
+/// thresholds (the cap of glibc's own dynamic mmap threshold, and 128 MiB of
+/// free heap top) keep it for reuse. Process-wide; set once.
 void retain_freed_heap() {
 #ifdef __GLIBC__
   static const bool kSet = mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&
@@ -270,6 +271,7 @@ void CmpSystem::route_outgoing(NodeId tile, CoherenceMsg msg) {
     tiles_[tile]->loopback.push(due, msg);
     Cycle& loop = loop_due(tile);
     loop = std::min(loop, due);
+    P.loop_next = std::min(P.loop_next, due);
     ++P.local_count;
     return;
   }
@@ -324,6 +326,8 @@ void CmpSystem::deliver_local(NodeId tile, const CoherenceMsg& msg) {
     case protocol::Unit::kDir: {
       Cycle& due = dir_due(tile);
       due = std::min(due, tiles_[tile]->dir->deliver(msg, now_));
+      Cycle& next = parts_[part_of_[tile]]->dir_next;
+      next = std::min(next, due);
       break;
     }
     case protocol::Unit::kL1I:
@@ -463,7 +467,8 @@ bool CmpSystem::due_arrays_cover_work() const {
     const Partition& P = *parts_[part_of_[t]];
     const unsigned i = t - plan_.first(part_of_[t]);
     if (P.dir_due[i] > tiles_[t]->dir->next_event() ||
-        P.loop_due[i] > tiles_[t]->loopback.next_ready()) {
+        P.loop_due[i] > tiles_[t]->loopback.next_ready() ||
+        P.dir_next > P.dir_due[i] || P.loop_next > P.loop_due[i]) {
       return false;
     }
   }
@@ -471,10 +476,14 @@ bool CmpSystem::due_arrays_cover_work() const {
 }
 
 void CmpSystem::rebuild_due_arrays() {
+  for (auto& part : parts_) part->dir_next = part->loop_next = kNeverCycle;
   for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
+    Partition& P = *parts_[part_of_[t]];
     // tcmplint: tile-seam (single-threaded checkpoint load, between cycles)
     dir_due(t) = tiles_[t]->dir->next_event();
     loop_due(t) = tiles_[t]->loopback.next_ready();
+    P.dir_next = std::min(P.dir_next, dir_due(t));
+    P.loop_next = std::min(P.loop_next, loop_due(t));
   }
 }
 
@@ -550,12 +559,7 @@ Cycle CmpSystem::partition_next_wake(unsigned p) {
   const auto hot_core = [&](unsigned i) { return hot(kScanCore, tiles[i]->core->next_event()); };
   if (P.running.any_of(hot_core)) return next_cycle;
   if (hot(kScanNetwork, network_->next_event_partition(p))) return next_cycle;
-  for (const Cycle due : P.dir_due) {
-    if (hot(kScanDir, due)) return next_cycle;
-  }
-  for (const Cycle due : P.loop_due) {
-    if (hot(kScanLoopback, due)) return next_cycle;
-  }
+  if (hot(kScanDir, P.dir_next) || hot(kScanLoopback, P.loop_next)) return next_cycle;
   if (p == 0 && (hot(kScanSampler, obs_sample_due_) || hot(kScanCheck, check_due_))) {
     return next_cycle;
   }
@@ -589,20 +593,32 @@ void CmpSystem::parallel_phase(unsigned p) {
   network_->tick_partition(p, now_);
   if constexpr (kProfiled) prof_->lap(sc_net_);
   // A loopback or directory that is not due has nothing ready: popping or
-  // ticking it would be a no-op. Deliveries made here lower due entries: a
-  // loopback's to now + 1, a directory's to now + its L2 latency, which the
-  // directory loop below still sees.
-  for (unsigned i = 0; i < tiles.size(); ++i) {
-    if (P.loop_due[i] > now_) continue;
-    while (auto msg = tiles[i]->loopback.pop_ready(now_)) deliver_local(msg->dst, *msg);
-    P.loop_due[i] = tiles[i]->loopback.next_ready();
+  // ticking it would be a no-op, and when no entry is due the loop is
+  // skipped. Deliveries made here lower due entries and their partition
+  // minimum: a loopback's to now + 1, a directory's to now + its L2
+  // latency, which the directory loop below still sees. A loop that runs
+  // recomputes the minimum, folding in what its deliveries lowered.
+  if (P.loop_next <= now_) {
+    P.loop_next = kNeverCycle;
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      if (P.loop_due[i] <= now_) {
+        while (auto msg = tiles[i]->loopback.pop_ready(now_)) deliver_local(msg->dst, *msg);
+        P.loop_due[i] = tiles[i]->loopback.next_ready();
+      }
+      P.loop_next = std::min(P.loop_next, P.loop_due[i]);
+    }
   }
   if constexpr (kProfiled) prof_->lap(sc_loopback_);
-  for (unsigned i = 0; i < tiles.size(); ++i) {
-    if (P.dir_due[i] > now_) continue;
-    tiles[i]->dir->tick(now_);
-    // tcmplint: tile-seam (same-tile: the owning partition reads its own directory)
-    P.dir_due[i] = tiles[i]->dir->next_event();
+  if (P.dir_next <= now_) {
+    P.dir_next = kNeverCycle;
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      if (P.dir_due[i] <= now_) {
+        tiles[i]->dir->tick(now_);
+        // tcmplint: tile-seam (same-tile: the owning partition reads its own directory)
+        P.dir_due[i] = tiles[i]->dir->next_event();
+      }
+      P.dir_next = std::min(P.dir_next, P.dir_due[i]);
+    }
   }
   if constexpr (kProfiled) prof_->lap(sc_dirs_);
   // Only running cores tick. A blocked core's tick would only count a

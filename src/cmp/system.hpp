@@ -302,6 +302,11 @@ class CmpSystem {
     /// only due entries.
     CacheLineVector<Cycle> dir_due;
     CacheLineVector<Cycle> loop_due;
+    /// The earliest entry of dir_due / loop_due: lowered with them,
+    /// recomputed by the loop that resets them. Derived, rebuilt by
+    /// rebuild_due_arrays.
+    Cycle dir_next{kNeverCycle};
+    Cycle loop_next{kNeverCycle};
     /// Bit tile - plan_.first(p) is set while that core is runnable: set at
     /// every unblock site (fill, I-fill, barrier release, replay re-tick),
     /// cleared when a tick blocks or finishes the core. Derived state,
@@ -350,7 +355,8 @@ class CmpSystem {
   [[nodiscard]] Cycle& loop_due(unsigned tile) {
     return parts_[part_of_[tile]]->loop_due[tile - plan_.first(part_of_[tile])];
   }
-  /// Reset every due entry to its component's next event (checkpoint load).
+  /// Reset every due entry to its component's next event, and each
+  /// partition's minimum (checkpoint load).
   void rebuild_due_arrays();
   /// Reset every partition's running set and done count from its cores
   /// (construction, checkpoint load, after sampling's functional phase).

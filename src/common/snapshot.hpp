@@ -57,9 +57,10 @@ namespace tcmp {
 /// arrays without per-VC output indices or route flags, lanes without a VC,
 /// cores without a blocked-cycle copy and directories with their
 /// reply-partitioning switch; v5 stores each directory's parked requests in
-/// one table instead of a queue per entry and per fill; see
-/// docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+/// one table instead of a queue per entry and per fill; v6 stores each cache
+/// array as its set index and the blocks of the sets it built, in touch
+/// order, instead of every line; see docs/checkpointing.md).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 namespace snapshot_detail {
 

@@ -103,6 +103,8 @@ class Directory final {
   /// Test hooks: requests parked on `line`, and lines with parked requests.
   [[nodiscard]] std::size_t parked_on(LineAddr line) const;
   [[nodiscard]] std::size_t parked_lines() const { return parked_.size(); }
+  /// Directory sets built so far (CacheArray::touched_sets).
+  [[nodiscard]] unsigned touched_sets() const { return array_.touched_sets(); }
 
   /// Read-only directory-entry snapshot for invariant scans (verify lint).
   struct EntryView {
@@ -207,9 +209,9 @@ class Directory final {
     }
   };
   using Array = CacheArray<DirEntry, DirKey>;
-  // Every run builds sets x ways of these lines per tile (4096 for the
-  // paper's 256 KB slice), so state only a busy line needs lives beside the
-  // array, not in it.
+  // Every set a run touches builds `ways` of these lines (up to 4096 per
+  // tile for the paper's 256 KB slice), so state only a busy line needs
+  // lives beside the array, not in it.
   static_assert(sizeof(Array::Line) <= 72, "directory line grew past 72 B");
 
   /// Off-chip fetch in flight for a line not present in L2 (its waiting

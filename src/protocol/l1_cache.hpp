@@ -89,6 +89,8 @@ class L1Cache final {
   [[nodiscard]] std::optional<L1State> state_of(LineAddr line) const;
   /// Test hook: validation version of a resident line (0 if absent).
   [[nodiscard]] std::uint32_t version_of(LineAddr line) const;
+  /// Sets built so far (CacheArray::touched_sets).
+  [[nodiscard]] unsigned touched_sets() const { return array_.touched_sets(); }
 
   /// One resident stable line, as reported to the verify lint.
   struct StableLine {

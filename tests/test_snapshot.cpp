@@ -190,6 +190,18 @@ TEST(SnapshotArchiveDeathTest, RefusesVersionFourStreams) {
   EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
 }
 
+TEST(SnapshotArchiveDeathTest, RefusesVersionFiveStreams) {
+  // Version 5 stored every line of every cache array; version 6 stores each
+  // array's set index and the blocks of the sets it built, in touch order.
+  std::stringstream buf;
+  SnapshotWriter w(buf);
+  w.raw_bytes(snapshot_detail::kMagic, sizeof snapshot_detail::kMagic);
+  w.raw_u64(5);
+  w.field(std::string("x"));
+  SnapshotReader r(buf);
+  EXPECT_DEATH(read_snapshot_header(r, "x"), "not supported");
+}
+
 // ---- full-system checkpoint/restore --------------------------------------
 
 struct FinalReport {
@@ -249,11 +261,22 @@ std::vector<std::pair<unsigned, std::size_t>> parked_per_dir(cmp::CmpSystem& sys
   return parked;
 }
 
+/// Per tile: the sets its directory and its L1 have built.
+std::vector<std::pair<unsigned, unsigned>> touched_per_tile(cmp::CmpSystem& system) {
+  std::vector<std::pair<unsigned, unsigned>> touched;
+  for (unsigned t = 0; t < system.config().n_tiles; ++t) {
+    touched.emplace_back(system.directory(t).touched_sets(), system.l1(t).touched_sets());
+  }
+  return touched;
+}
+
 // Interrupted-vs-uninterrupted identity at thread count K: run A end to end;
 // run B past a mid-run cycle to the first cycle with flits both buffered in
 // routers and in flight on links and a request parked at some directory,
 // checkpoint, restore into a freshly constructed system C and finish there.
-// A and C must agree on every reported number.
+// A and C must agree on every reported number. By then the cache arrays have
+// built their sets in access order, so the restored arrays must rebuild the
+// saver's set index and blocks.
 void check_restore_identity(unsigned threads) {
   auto cfg = cmp::CmpConfig::cheng3way();
   cfg.threads = threads;
@@ -283,6 +306,7 @@ void check_restore_identity(unsigned threads) {
   EXPECT_EQ(restored.total_cycles(), at);
   EXPECT_EQ(flits_in_network(restored), flits_in_network(saver));
   EXPECT_EQ(parked_per_dir(restored), parked_per_dir(saver));
+  EXPECT_EQ(touched_per_tile(restored), touched_per_tile(saver));
   EXPECT_TRUE(restored.network().work_sets_cover_work());
   EXPECT_TRUE(restored.due_arrays_cover_work());
   ASSERT_TRUE(restored.run(Cycle{50'000'000}));
